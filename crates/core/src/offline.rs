@@ -3,13 +3,15 @@
 //! Appendix B evaluates filter compilation "in offline mode, which
 //! ingests a pcap instead of packets from the network interface". This
 //! module is that mode: the same pipeline as a worker core, driven
-//! synchronously from an in-memory packet iterator, with no NIC, RSS, or
-//! threads. It is also the easiest way to unit-test end-to-end behavior.
+//! synchronously from an in-memory packet iterator, with no NIC, queues,
+//! or threads. Each mbuf still carries the symmetric RSS hash the NIC
+//! would have stamped, because the connection table is keyed by it. It
+//! is also the easiest way to unit-test end-to-end behavior.
 
 use std::sync::Arc;
 
 use retina_filter::FilterFns;
-use retina_nic::Mbuf;
+use retina_nic::{Mbuf, RssHasher};
 use retina_support::bytes::Bytes;
 use retina_wire::ParsedPacket;
 
@@ -37,6 +39,9 @@ where
         config.profile_stages,
         config.parsers.clone(),
     );
+    // The virtual NIC's key: without the hash every connection would
+    // share one conntrack bucket chain.
+    let hasher = RssHasher::symmetric();
     let mut max_ts = 0u64;
     let mut count = 0usize;
     for (frame, ts) in packets {
@@ -49,6 +54,7 @@ where
             tracker.stats.parse_failures += 1;
             continue;
         };
+        mbuf.rss_hash = hasher.hash_packet(&pkt);
         tracker.stats.packet_filter.runs += 1;
         let verdict = filter.packet_filter_set(&pkt);
         if verdict.is_no_match() {

@@ -10,12 +10,11 @@
 // Narrowing casts in this file are intentional: tick, index, and counter arithmetic narrows to compact fields by design.
 #![allow(clippy::cast_possible_truncation)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use retina_support::bytes::Bytes;
-use retina_support::sync::ArrayQueue;
-use retina_support::sync::RwLock;
+use retina_support::sync::{ArrayQueue, CachePadded, RwLock, RwLockReadGuard};
 use retina_telemetry::{
     trace::{TraceDropCode, TraceHwAction},
     DropBreakdown, DropReason, TraceKind, Tracer,
@@ -134,19 +133,69 @@ pub enum IngestOutcome {
     NoMbuf,
 }
 
+/// An optional per-frame layer (fault hooks, tracer) behind a flag.
+///
+/// The device consults these layers on every frame and poll, but they
+/// are absent in normal operation. Checking the flag first means an
+/// absent layer costs one load of a line nobody writes, rather than a
+/// read-lock whose lock word both the ingest thread and the RX core
+/// would write.
+struct Layer<T> {
+    /// Whether `slot` holds a layer. Stored while the write lock is
+    /// held, so a reader that sees it set and then takes the read lock
+    /// finds the slot already updated; one that sees it clear skips a
+    /// layer that is absent or still being installed.
+    on: AtomicBool,
+    slot: CachePadded<RwLock<Option<T>>>,
+}
+
+impl<T> Layer<T> {
+    fn new() -> Self {
+        Layer {
+            on: AtomicBool::new(false),
+            slot: CachePadded::new(RwLock::new(None)),
+        }
+    }
+
+    fn set(&self, value: Option<T>) {
+        let mut slot = self.slot.write();
+        self.on.store(value.is_some(), Ordering::Release);
+        *slot = value;
+    }
+
+    /// A read guard on the layer, or `None` without touching the lock
+    /// when no layer is installed.
+    fn read(&self) -> Option<RwLockReadGuard<'_, Option<T>>> {
+        self.on.load(Ordering::Acquire).then(|| self.slot.read())
+    }
+
+    /// Applies `f` to the installed layer, if any.
+    fn with<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
+        self.read()?.as_ref().map(f)
+    }
+}
+
 /// The virtual 100GbE port.
+///
+/// Ingest and RX polling run on different cores and share nothing per
+/// frame but the ring slot that carries it. Everything the ingest path
+/// writes per frame (the RETA and rule-engine lock words, the port
+/// counters, the ring's `tail`, the pool's charge counters) sits on
+/// [`CachePadded`] lines the RX core never reads on its poll path;
+/// everything the RX core reads (the queue list, the fault flag) is
+/// written only at configuration time.
 pub struct VirtualNic {
     queues: Vec<ArrayQueue<Mbuf>>,
-    reta: RwLock<RedirectionTable>,
+    reta: CachePadded<RwLock<RedirectionTable>>,
     hasher: RssHasher,
-    engine: RwLock<FlowRuleEngine>,
+    engine: CachePadded<RwLock<FlowRuleEngine>>,
     mempool: Mempool,
-    stats: PortStats,
-    /// Installed fault-injection layer (`None` in normal operation).
-    faults: RwLock<Option<Arc<dyn FaultHooks>>>,
+    stats: CachePadded<PortStats>,
+    /// Installed fault-injection layer (absent in normal operation).
+    faults: Layer<Arc<dyn FaultHooks>>,
     /// Attached tracer recording per-frame ingest tracepoints on the
-    /// ingest lane (`None` in normal operation).
-    tracer: RwLock<Option<Arc<Tracer>>>,
+    /// ingest lane (absent in normal operation).
+    tracer: Layer<Arc<Tracer>>,
 }
 
 impl VirtualNic {
@@ -157,67 +206,67 @@ impl VirtualNic {
             .collect();
         VirtualNic {
             queues,
-            reta: RwLock::new(RedirectionTable::new(cfg.reta_size, cfg.num_queues)),
+            reta: CachePadded::new(RwLock::new(RedirectionTable::new(
+                cfg.reta_size,
+                cfg.num_queues,
+            ))),
             hasher: RssHasher::symmetric(),
-            engine: RwLock::new(FlowRuleEngine::new(cfg.caps)),
+            engine: CachePadded::new(RwLock::new(FlowRuleEngine::new(cfg.caps))),
             mempool: Mempool::new(cfg.mempool_capacity),
-            stats: PortStats::default(),
-            faults: RwLock::new(None),
-            tracer: RwLock::new(None),
+            stats: CachePadded::default(),
+            faults: Layer::new(),
+            tracer: Layer::new(),
         }
     }
 
     /// Installs a fault-injection layer (see [`crate::faults`]); the
     /// device consults it on every ingest and poll until cleared.
     pub fn set_fault_hooks(&self, hooks: Arc<dyn FaultHooks>) {
-        *self.faults.write() = Some(hooks);
+        self.faults.set(Some(hooks));
     }
 
     /// Removes the fault-injection layer, restoring clean operation.
     pub fn clear_fault_hooks(&self) {
-        *self.faults.write() = None;
+        self.faults.set(None);
     }
 
     /// Attaches a tracer: every subsequent ingest records its outcome
     /// (rx + hardware verdict for sampled flows; drops for all flows)
     /// on the tracer's ingest lane.
     pub fn set_tracer(&self, tracer: Arc<Tracer>) {
-        *self.tracer.write() = Some(tracer);
+        self.tracer.set(Some(tracer));
     }
 
     /// Detaches the tracer, restoring untraced ingest.
     pub fn clear_tracer(&self) {
-        *self.tracer.write() = None;
+        self.tracer.set(None);
     }
 
     /// Extra worker-core latency the installed fault layer wants to
     /// inject for `core` right now (`None` when unfaulted).
     pub fn fault_worker_delay(&self, core: u16) -> Option<std::time::Duration> {
-        self.faults.read().as_ref()?.worker_delay(core)
+        self.faults.with(|hooks| hooks.worker_delay(core))?
     }
 
     /// Extra latency the installed fault layer wants to inject before
     /// subscription `sub`'s `seq`-th dispatched callback (`None` when
     /// unfaulted).
     pub fn fault_callback_delay(&self, sub: u16, seq: u64) -> Option<std::time::Duration> {
-        self.faults.read().as_ref()?.callback_delay(sub, seq)
+        self.faults.with(|hooks| hooks.callback_delay(sub, seq))?
     }
 
     /// Extra latency the installed fault layer wants to inject before
     /// worker core `core` picks up a newly published configuration
     /// epoch (`None` when unfaulted).
     pub fn fault_swap_pickup_delay(&self, core: u16) -> Option<std::time::Duration> {
-        self.faults.read().as_ref()?.swap_pickup_delay(core)
+        self.faults.with(|hooks| hooks.swap_pickup_delay(core))?
     }
 
     /// Frames currently held in flight by the fault layer (0 when
     /// unfaulted). The runtime's final drain waits for this to reach
     /// zero so injected delay lines cannot strand frames.
     pub fn faults_in_flight(&self) -> usize {
-        self.faults
-            .read()
-            .as_ref()
-            .map_or(0, |hooks| hooks.in_flight())
+        self.faults.with(|hooks| hooks.in_flight()).unwrap_or(0)
     }
 
     /// Number of RX queues.
@@ -338,28 +387,27 @@ impl VirtualNic {
 
     fn ingest_inner(&self, frame: Bytes, timestamp_ns: u64, paced: bool) -> IngestOutcome {
         let seq = self.stats.rx_offered.fetch_add(1, Ordering::Relaxed);
-        let tracer = self.tracer.read();
+        let tracer_guard = self.tracer.read();
+        let tracer = tracer_guard.as_ref().and_then(|slot| slot.as_ref());
         // Injected mempool-squeeze windows are keyed on the ingress
         // sequence number, so they hit the same frames on every run.
         // They drop even under paced ingest: a seq-keyed squeeze never
         // clears for this frame, so spinning would deadlock the source.
-        if let Some(hooks) = self.faults.read().as_ref() {
-            if hooks.mempool_squeezed(seq) {
-                self.stats.rx_nombuf.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = tracer.as_ref() {
-                    // The frame was never parsed, so the flow is unknown:
-                    // the drop lands in the flight recorder only.
-                    t.emit(
-                        t.ingest_lane(),
-                        0,
-                        TraceKind::Drop,
-                        0,
-                        TraceDropCode::NoMbuf as u64,
-                        seq,
-                    );
-                }
-                return IngestOutcome::NoMbuf;
+        if self.faults.with(|hooks| hooks.mempool_squeezed(seq)) == Some(true) {
+            self.stats.rx_nombuf.fetch_add(1, Ordering::Relaxed);
+            if let Some(t) = tracer {
+                // The frame was never parsed, so the flow is unknown:
+                // the drop lands in the flight recorder only.
+                t.emit(
+                    t.ingest_lane(),
+                    0,
+                    TraceKind::Drop,
+                    0,
+                    TraceDropCode::NoMbuf as u64,
+                    seq,
+                );
             }
+            return IngestOutcome::NoMbuf;
         }
         let parsed = ParsedPacket::parse(&frame);
         let (action, hash) = match &parsed {
@@ -368,12 +416,12 @@ impl VirtualNic {
         };
         // The sampling decision reuses the RSS hash computed above:
         // one splitmix finalizer per frame, nothing re-parsed.
-        let tid = match (tracer.as_ref(), &parsed) {
+        let tid = match (tracer, &parsed) {
             (Some(t), Ok(_)) => t.sample_flow(hash),
             _ => 0,
         };
         if tid != 0 {
-            if let Some(t) = tracer.as_ref() {
+            if let Some(t) = tracer {
                 t.emit(
                     t.ingest_lane(),
                     tid,
@@ -388,7 +436,7 @@ impl VirtualNic {
             FlowAction::Drop => {
                 self.stats.hw_dropped.fetch_add(1, Ordering::Relaxed);
                 if tid != 0 {
-                    if let Some(t) = tracer.as_ref() {
+                    if let Some(t) = tracer {
                         t.emit(
                             t.ingest_lane(),
                             tid,
@@ -407,7 +455,7 @@ impl VirtualNic {
                 if q == SINK_QUEUE {
                     self.stats.sunk.fetch_add(1, Ordering::Relaxed);
                     if tid != 0 {
-                        if let Some(t) = tracer.as_ref() {
+                        if let Some(t) = tracer {
                             t.emit(
                                 t.ingest_lane(),
                                 tid,
@@ -424,7 +472,7 @@ impl VirtualNic {
             }
         };
         if tid != 0 {
-            if let Some(t) = tracer.as_ref() {
+            if let Some(t) = tracer {
                 let act = match action {
                     FlowAction::Queue(_) => TraceHwAction::Queue,
                     _ => TraceHwAction::Rss,
@@ -442,7 +490,7 @@ impl VirtualNic {
         while self.mempool.exhausted() {
             if !paced {
                 self.stats.rx_nombuf.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = tracer.as_ref() {
+                if let Some(t) = tracer {
                     t.emit(
                         t.ingest_lane(),
                         tid,
@@ -456,8 +504,12 @@ impl VirtualNic {
             }
             std::thread::yield_now();
         }
-        let len = frame.len() as u64;
-        let mut mbuf = Mbuf::from_bytes_in(frame, &self.mempool);
+        let len = frame.len();
+        // Count the buffer here but leave the shared guard to
+        // `rx_burst`: allocating it here would have the RX core free
+        // what the ingest thread allocated, on every frame.
+        self.mempool.acquire(len);
+        let mut mbuf = Mbuf::from_bytes(frame);
         mbuf.timestamp_ns = timestamp_ns;
         mbuf.rss_hash = hash;
         mbuf.queue = queue;
@@ -465,13 +517,14 @@ impl VirtualNic {
             match self.queues[queue as usize].push(mbuf) {
                 Ok(()) => {
                     self.stats.rx_delivered.fetch_add(1, Ordering::Relaxed);
-                    self.stats.rx_bytes.fetch_add(len, Ordering::Relaxed);
+                    self.stats.rx_bytes.fetch_add(len as u64, Ordering::Relaxed);
                     return IngestOutcome::Delivered(queue);
                 }
                 Err(rejected) => {
                     if !paced {
+                        self.mempool.release(len);
                         self.stats.rx_missed.fetch_add(1, Ordering::Relaxed);
-                        if let Some(t) = tracer.as_ref() {
+                        if let Some(t) = tracer {
                             t.emit(
                                 t.ingest_lane(),
                                 tid,
@@ -495,21 +548,15 @@ impl VirtualNic {
     pub fn rx_burst(&self, queue: u16, out: &mut Vec<Mbuf>, max: usize) -> usize {
         // A stalled queue delivers nothing this poll; its descriptors
         // stay put (a stall delays frames, it never drops them).
-        if let Some(hooks) = self.faults.read().as_ref() {
-            if hooks.ring_stalled(queue) {
-                return 0;
-            }
+        if self.faults.with(|hooks| hooks.ring_stalled(queue)) == Some(true) {
+            return 0;
         }
-        let ring = &self.queues[queue as usize];
-        let mut n = 0;
-        while n < max {
-            match ring.pop() {
-                Some(mbuf) => {
-                    out.push(mbuf);
-                    n += 1;
-                }
-                None => break,
-            }
+        let first = out.len();
+        let n = self.queues[queue as usize].pop_batch(out, max);
+        // Attached here, on the RX core, so the guard is allocated on
+        // the thread that normally frees it.
+        for mbuf in &mut out[first..] {
+            mbuf.attach_charge(&self.mempool);
         }
         n
     }
@@ -524,6 +571,19 @@ impl VirtualNic {
             sunk: self.stats.sunk.load(Ordering::Relaxed),
             rx_missed: self.stats.rx_missed.load(Ordering::Relaxed),
             rx_nombuf: self.stats.rx_nombuf.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl Drop for VirtualNic {
+    fn drop(&mut self) {
+        // Frames still in a ring were counted at ingest but never got a
+        // guard; release them so a pool handle that outlives the port
+        // reads empty.
+        for ring in &self.queues {
+            while let Some(mbuf) = ring.pop() {
+                self.mempool.release(mbuf.len());
+            }
         }
     }
 }
@@ -727,6 +787,97 @@ mod tests {
         }]))
         .unwrap();
         assert_eq!(nic.ingest(Bytes::from(arp), 0), IngestOutcome::HwDropped);
+    }
+
+    #[test]
+    fn teardown_releases_frames_left_in_rings() {
+        let nic = VirtualNic::new(&DeviceConfig {
+            num_queues: 2,
+            ring_capacity: 4,
+            ..Default::default()
+        });
+        let pool = nic.mempool().clone();
+        for port in 0..12u16 {
+            let src = format!("10.0.0.{}:{}", port % 5, 1000 + port);
+            nic.ingest(tcp_frame(&src, "10.0.0.200:443"), u64::from(port));
+        }
+        let stats = nic.stats();
+        assert!(stats.rx_missed > 0, "some frames overflowed: {stats:?}");
+        // Rejected frames were released at once; delivered ones are held.
+        assert_eq!(pool.in_use() as u64, stats.rx_delivered);
+        let mut out = Vec::new();
+        nic.rx_burst(0, &mut out, 1);
+        let polled = out.len();
+        drop(nic);
+        // Only the polled frame outlives the port.
+        assert_eq!(pool.in_use(), polled);
+        out.clear();
+        assert_eq!(pool.in_use(), 0);
+        assert_eq!(pool.bytes_in_use(), 0);
+    }
+
+    #[test]
+    fn two_thread_pool_accounting_with_late_clones() {
+        const FRAMES: u64 = 20_000;
+        let nic = Arc::new(VirtualNic::new(&DeviceConfig {
+            num_queues: 1,
+            ring_capacity: 16,
+            mempool_capacity: 48,
+            ..Default::default()
+        }));
+        let done = Arc::new(AtomicBool::new(false));
+        let rx = {
+            let (nic, done) = (Arc::clone(&nic), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut burst = Vec::new();
+                let mut held = std::collections::VecDeque::new();
+                let mut seen = 0u64;
+                loop {
+                    burst.clear();
+                    if nic.rx_burst(0, &mut burst, 8) == 0 {
+                        // Idle poll: let one late clone go, so a paced
+                        // source blocked on the pool always progresses.
+                        if held.pop_front().is_none()
+                            && done.load(Ordering::Acquire)
+                            && nic.ring_depth(0) == 0
+                        {
+                            return seen;
+                        }
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    for mbuf in burst.drain(..) {
+                        assert_eq!(mbuf.refcnt(), 1);
+                        seen += 1;
+                        // Hold every third frame by reference, as the
+                        // reassembler holds out-of-order segments.
+                        if seen.is_multiple_of(3) {
+                            held.push_back(mbuf.clone());
+                        }
+                    }
+                    while held.len() > 24 {
+                        held.pop_front();
+                    }
+                }
+            })
+        };
+        for i in 0..FRAMES {
+            let src = format!("10.1.{}.{}:{}", i % 7, i % 11, 2000 + i % 13);
+            let outcome = nic.ingest_paced(tcp_frame(&src, "10.2.0.1:443"), i);
+            assert_eq!(outcome, IngestOutcome::Delivered(0));
+        }
+        done.store(true, Ordering::Release);
+        assert_eq!(rx.join().unwrap(), FRAMES);
+        let pool = nic.mempool();
+        assert_eq!(pool.in_use(), 0);
+        assert_eq!(pool.bytes_in_use(), 0);
+        assert!(
+            pool.high_water() <= pool.capacity(),
+            "{}",
+            pool.high_water()
+        );
+        assert!(pool.high_water() > 0);
+        assert_eq!(nic.stats().lost(), 0);
     }
 
     #[test]

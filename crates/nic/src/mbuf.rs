@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use retina_support::bytes::Bytes;
+use retina_support::sync::CachePadded;
 
 /// A received packet buffer with metadata.
 ///
@@ -37,7 +38,7 @@ pub struct Mbuf {
     charge: Option<Arc<PoolCharge>>,
 }
 
-/// Shared accounting guard: decrements pool occupancy when the last
+/// Shared accounting guard: releases the pool charge when the last
 /// [`Mbuf`] clone drops.
 #[derive(Debug)]
 struct PoolCharge {
@@ -47,10 +48,7 @@ struct PoolCharge {
 
 impl Drop for PoolCharge {
     fn drop(&mut self) {
-        self.pool.in_use.fetch_sub(1, Ordering::Relaxed);
-        self.pool
-            .bytes_in_use
-            .fetch_sub(self.bytes, Ordering::Relaxed);
+        self.pool.release(self.bytes);
     }
 }
 
@@ -69,26 +67,21 @@ impl Mbuf {
 
     /// Wraps a raw frame, charging it to `pool` until the last clone drops.
     pub fn from_bytes_in(data: Bytes, pool: &Mempool) -> Self {
-        // fetch_add returns the pre-increment occupancy; raising the
-        // high-water mark here (rather than sampling in_use from the
-        // monitor) captures peaks shorter than a monitoring interval.
-        let occupied = pool.inner.in_use.fetch_add(1, Ordering::Relaxed) + 1;
-        pool.inner.high_water.fetch_max(occupied, Ordering::Relaxed);
-        pool.inner
-            .bytes_in_use
-            .fetch_add(data.len(), Ordering::Relaxed);
-        let charge = PoolCharge {
-            pool: pool.inner.clone(),
-            bytes: data.len(),
-        };
-        Mbuf {
-            data,
-            timestamp_ns: 0,
-            rss_hash: 0,
-            queue: 0,
-            mark: 0,
-            charge: Some(Arc::new(charge)),
-        }
+        pool.acquire(data.len());
+        let mut mbuf = Mbuf::from_bytes(data);
+        mbuf.attach_charge(pool);
+        mbuf
+    }
+
+    /// Attaches the shared guard for a frame already counted by
+    /// [`Mempool::acquire`]. The device calls this on the RX core, so
+    /// the guard is allocated on the thread that normally frees it.
+    pub(crate) fn attach_charge(&mut self, pool: &Mempool) {
+        debug_assert!(self.charge.is_none(), "mbuf charged twice");
+        self.charge = Some(Arc::new(PoolCharge {
+            pool: Arc::clone(&pool.inner),
+            bytes: self.data.len(),
+        }));
     }
 
     /// The raw frame bytes.
@@ -124,12 +117,48 @@ impl Mbuf {
     }
 }
 
+/// Counters written by whoever charges buffers: the ingest thread.
+#[derive(Debug, Default)]
+struct Acquired {
+    buffers: AtomicUsize,
+    bytes: AtomicUsize,
+    high_water: AtomicUsize,
+}
+
+/// Counters written by whoever drops the last clone: normally the RX core.
+#[derive(Debug, Default)]
+struct Released {
+    buffers: AtomicUsize,
+    bytes: AtomicUsize,
+}
+
+/// Pool occupancy, split by writer. Charging a buffer and releasing
+/// one touch different cache lines, so the ingest thread and the RX
+/// core never write the same line; occupancy is the difference.
 #[derive(Debug, Default)]
 struct PoolInner {
-    in_use: AtomicUsize,
-    bytes_in_use: AtomicUsize,
-    high_water: AtomicUsize,
+    acquired: CachePadded<Acquired>,
+    released: CachePadded<Released>,
     capacity: usize,
+}
+
+impl PoolInner {
+    fn in_use(&self) -> usize {
+        // Load releases first. Each release's `Release` increment pairs
+        // with this `Acquire` load, and its charge happened before it
+        // (the ring hands the frame over with Release/Acquire), so the
+        // charge count loaded next covers every release counted here.
+        let released = self.released.buffers.load(Ordering::Acquire);
+        self.acquired
+            .buffers
+            .load(Ordering::Acquire)
+            .saturating_sub(released)
+    }
+
+    fn release(&self, bytes: usize) {
+        self.released.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.released.buffers.fetch_add(1, Ordering::Release);
+    }
 }
 
 /// A packet-buffer pool with occupancy accounting.
@@ -155,12 +184,19 @@ impl Mempool {
 
     /// Buffers currently charged to the pool.
     pub fn in_use(&self) -> usize {
-        self.inner.in_use.load(Ordering::Relaxed)
+        self.inner.in_use()
     }
 
     /// Bytes currently charged to the pool.
     pub fn bytes_in_use(&self) -> usize {
-        self.inner.bytes_in_use.load(Ordering::Relaxed)
+        // Same load order as `in_use`; byte counts are a statistic, so
+        // the saturation covers a release seen before its charge.
+        let released = self.inner.released.bytes.load(Ordering::Relaxed);
+        self.inner
+            .acquired
+            .bytes
+            .load(Ordering::Relaxed)
+            .saturating_sub(released)
     }
 
     /// Pool capacity in buffers.
@@ -174,13 +210,41 @@ impl Mempool {
     /// worst pressure the pool has seen, even for spikes shorter than a
     /// monitoring interval.
     pub fn high_water(&self) -> usize {
-        self.inner.high_water.load(Ordering::Relaxed)
+        self.inner.acquired.high_water.load(Ordering::Relaxed)
     }
 
     /// Returns true when occupancy has reached capacity; the device drops
     /// ingress packets (`rx_nombuf`) in that state, as DPDK does.
     pub fn exhausted(&self) -> bool {
         self.in_use() >= self.inner.capacity
+    }
+
+    /// Counts one buffer of `bytes` as charged, raising the high-water
+    /// mark. The matching release is the drop of the guard that
+    /// [`Mbuf::attach_charge`] attaches, or [`Mempool::release`] for a
+    /// buffer that never got one.
+    pub(crate) fn acquire(&self, bytes: usize) {
+        let pool = &self.inner;
+        pool.acquired.bytes.fetch_add(bytes, Ordering::Relaxed);
+        // fetch_add returns the pre-increment count; raising the
+        // high-water mark here (rather than sampling in_use from the
+        // monitor) captures peaks shorter than a monitoring interval.
+        let acquired = pool.acquired.buffers.fetch_add(1, Ordering::Release) + 1;
+        let occupied = acquired.saturating_sub(pool.released.buffers.load(Ordering::Acquire));
+        // Compare first: the peak rarely moves, and a plain load is
+        // cheaper than a locked `fetch_max` on every frame.
+        if occupied > pool.acquired.high_water.load(Ordering::Relaxed) {
+            pool.acquired
+                .high_water
+                .fetch_max(occupied, Ordering::Relaxed);
+        }
+    }
+
+    /// Releases a buffer counted by [`Mempool::acquire`] that was dropped
+    /// before a guard was attached (a frame left in a ring at teardown,
+    /// or one the ring rejected).
+    pub(crate) fn release(&self, bytes: usize) {
+        self.inner.release(bytes);
     }
 }
 
@@ -225,6 +289,31 @@ mod tests {
     }
 
     #[test]
+    fn release_is_exactly_once_in_any_drop_order() {
+        let pool = Mempool::new(4);
+        // The original goes last; a clone of a clone shares the guard.
+        let m1 = Mbuf::from_bytes_in(Bytes::from_static(b"abcd"), &pool);
+        let m2 = m1.clone();
+        let m3 = m2.clone();
+        assert_eq!((m1.refcnt(), m2.refcnt(), m3.refcnt()), (3, 3, 3));
+        drop(m2);
+        drop(m3);
+        assert_eq!(m1.refcnt(), 1);
+        assert_eq!(pool.in_use(), 1);
+        drop(m1);
+        assert_eq!((pool.in_use(), pool.bytes_in_use()), (0, 0));
+        // Cloning again after the clones are gone reuses the guard.
+        let m1 = Mbuf::from_bytes_in(Bytes::from_static(b"ef"), &pool);
+        drop(m1.clone());
+        let m2 = m1.clone();
+        drop(m1);
+        assert!(m2.pooled());
+        assert_eq!((m2.refcnt(), pool.in_use()), (1, 1));
+        drop(m2);
+        assert_eq!((pool.in_use(), pool.bytes_in_use()), (0, 0));
+    }
+
+    #[test]
     fn high_water_tracks_peak_not_current() {
         let pool = Mempool::new(8);
         assert_eq!(pool.high_water(), 0);
@@ -252,6 +341,24 @@ mod tests {
         assert!(!pool.exhausted());
         let _b = Mbuf::from_bytes_in(Bytes::from_static(b"b"), &pool);
         assert!(pool.exhausted());
+    }
+
+    #[test]
+    fn charge_and_release_counters_sit_on_separate_lines() {
+        let pool = Mempool::new(4);
+        let inner = &*pool.inner;
+        let at = |p: &AtomicUsize| p as *const AtomicUsize as usize;
+        // Every counter the charging side writes is at least a line away
+        // from every counter the releasing side writes.
+        for producer in [
+            &inner.acquired.buffers,
+            &inner.acquired.bytes,
+            &inner.acquired.high_water,
+        ] {
+            for consumer in [&inner.released.buffers, &inner.released.bytes] {
+                assert!(at(producer).abs_diff(at(consumer)) >= 64);
+            }
+        }
     }
 
     #[test]

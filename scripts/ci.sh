@@ -31,11 +31,13 @@
 #                 drain, and a threaded back-and-forth swap sequence
 #                 with zero loss, merging its pass/fail keys into
 #                 results/BENCH_ci.json
+#   perfbench     the repository benchmark's own tests (release), so a
+#                 crate change that breaks the benchmark fails CI
 #   bench-gate    scripts/bench_gate.sh vs results/BENCH_baseline.json
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt clippy pedantic safety lint-filters build doc test smoke trace-overhead churn reconfig bench-gate)
+ALL_STAGES=(fmt clippy pedantic safety lint-filters build doc test smoke trace-overhead churn reconfig perfbench bench-gate)
 if [ "$#" -gt 0 ]; then STAGES=("$@"); else STAGES=("${ALL_STAGES[@]}"); fi
 
 FAILED=()
@@ -140,6 +142,14 @@ stage_reconfig() {
         --quick --json-out results/BENCH_ci.json
 }
 
+# Benchmark: perfbench is its own workspace (perfbench/Cargo.toml) built
+# on the crates' public APIs. Its tests check its single-threaded traced
+# replay against the runtime, so an API or behaviour change that breaks
+# the benchmark fails here rather than at measuring time.
+stage_perfbench() {
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+}
+
 stage_bench_gate() { scripts/bench_gate.sh; }
 
 for stage in "${STAGES[@]}"; do
@@ -156,6 +166,7 @@ for stage in "${STAGES[@]}"; do
     trace-overhead) run_stage trace-overhead stage_trace_overhead ;;
     churn) run_stage churn stage_churn ;;
     reconfig) run_stage reconfig stage_reconfig ;;
+    perfbench) run_stage perfbench stage_perfbench ;;
     bench-gate) run_stage bench-gate stage_bench_gate ;;
     *)
         echo "unknown CI stage: ${stage} (known: ${ALL_STAGES[*]})" >&2

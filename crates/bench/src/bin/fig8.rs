@@ -13,7 +13,7 @@ use retina_bench::{bench_args, rule};
 use retina_conntrack::TimeoutConfig;
 use retina_core::subscribables::ConnRecord;
 use retina_core::tracker::ConnTracker;
-use retina_core::{compile, CompiledFilter, FilterFns};
+use retina_core::{compile, CompiledFilter, ErasedSubscription, FilterFns, TypedSubscription};
 use retina_telemetry::LogHistogram;
 use retina_trafficgen::campus::{generate, CampusConfig};
 use retina_wire::ParsedPacket;
@@ -50,8 +50,10 @@ fn main() {
     let mut peaks: Vec<(&str, usize, LogHistogram)> = Vec::new();
     for (name, timeouts) in schemes {
         let filter = Arc::new(compile("").unwrap());
+        let sub: Arc<dyn ErasedSubscription> =
+            Arc::new(TypedSubscription::<ConnRecord>::spec_only("conns"));
         let mut tracker: ConnTracker<CompiledFilter> =
-            ConnTracker::single::<ConnRecord>(Arc::clone(&filter), timeouts, 500, false);
+            ConnTracker::new(Arc::clone(&filter), &[sub], timeouts, 500, false);
         let mut samples = Vec::new();
         let mut next_sample = SAMPLE_EVERY_NS;
         // Per-packet peak: sampling every 10 sim-seconds can miss a

@@ -15,7 +15,10 @@
 //!   [`retina_nic::FaultHooks`] (mempool squeezes, ring stalls, worker
 //!   slowdowns) and installs onto a `VirtualNic` via [`install`];
 //! * **parser**: [`ChaosParser`] panics on chosen payloads, proving
-//!   the runtime's panic containment.
+//!   the runtime's panic containment. Its modulus travels with the
+//!   parser: register [`chaos_parser_factory`] with the plan's
+//!   [`FaultPlan::parser_panic_modulus`] in the runtime's parser
+//!   registry.
 //!
 //! The determinism contract: every injection decision is a pure
 //! function of the plan seed and an event the workload itself drives
@@ -43,7 +46,6 @@
 //! let source = ChaosSource::new(source, &plan); // wire-level faults
 //! // runtime.run(source) would now see both fault levels; afterwards:
 //! nic.clear_fault_hooks();
-//! retina_chaos::disarm_parser_panics();
 //! # let _ = (hooks, source);
 //! ```
 
@@ -59,24 +61,18 @@ use std::sync::Arc;
 use retina_nic::VirtualNic;
 
 pub use hooks::ChaosHooks;
-pub use parser::{
-    arm_parser_panics, armed_modulus, chaos_parser_factory, content_hash, disarm_parser_panics,
-    ChaosParser,
-};
+pub use parser::{chaos_parser_factory, content_hash, ChaosParser};
 pub use plan::{Fault, FaultPlan};
 pub use source::ChaosSource;
 
 /// Builds [`ChaosHooks`] for `plan` and installs them on the device.
-/// Returns the hooks so callers can inspect poll counters. If the plan
-/// arms parser panics, the process-global panic condition is armed
-/// too; remember to [`disarm_parser_panics`] (and
-/// [`VirtualNic::clear_fault_hooks`]) when the experiment ends.
+/// Returns the hooks so callers can inspect poll counters; call
+/// [`VirtualNic::clear_fault_hooks`] when the experiment ends. Parser
+/// panics are not device faults: they come from a [`ChaosParser`] in
+/// the runtime's parser registry (see [`chaos_parser_factory`]).
 pub fn install(nic: &Arc<VirtualNic>, plan: &FaultPlan) -> Arc<ChaosHooks> {
     let hooks = Arc::new(ChaosHooks::new(plan.clone(), nic.num_queues()));
     nic.set_fault_hooks(Arc::<ChaosHooks>::clone(&hooks));
-    if let Some(modulus) = plan.parser_panic_modulus() {
-        arm_parser_panics(modulus);
-    }
     hooks
 }
 
@@ -86,7 +82,7 @@ mod tests {
     use retina_nic::DeviceConfig;
 
     #[test]
-    fn install_wires_hooks_and_arms_parsers() {
+    fn install_wires_hooks() {
         let nic = Arc::new(VirtualNic::new(&DeviceConfig {
             num_queues: 2,
             ..Default::default()
@@ -99,15 +95,12 @@ mod tests {
             })
             .with(Fault::ParserPanic { modulus: 16 });
         let hooks = install(&nic, &plan);
-        assert_eq!(armed_modulus(), Some(16));
         // The stall window is live: the first polls on queue 0 deliver
         // nothing even though nothing was ingested (and count as polls).
         let mut out = Vec::new();
         assert_eq!(nic.rx_burst(0, &mut out, 32), 0);
         assert_eq!(hooks.polls_seen(0), 1);
         nic.clear_fault_hooks();
-        disarm_parser_panics();
-        assert_eq!(armed_modulus(), None);
         assert_eq!(nic.faults_in_flight(), 0);
     }
 }

@@ -10,38 +10,13 @@
 //! probed or parsed), never call-count-based, so they are independent
 //! of scheduling and burst boundaries and replay exactly.
 //!
-//! Parser registries hold plain `fn()` factories, so the panic
-//! condition is armed through a process-global: [`arm_parser_panics`] /
-//! [`disarm_parser_panics`]. Tests that arm it should disarm on exit.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The panic condition travels with the parser: each [`ChaosParser`]
+//! carries its modulus, and [`chaos_parser_factory`] returns a registry
+//! factory that captures it. Nothing is process-global, so runs (and
+//! tests) with different moduli can share a process.
 
 use retina_protocols::parser::{ConnParser, Direction, ParseResult, ProbeResult};
 use retina_protocols::Session;
-
-/// 0 = disarmed; otherwise panic on `content_hash % modulus == 0`.
-static PANIC_MODULUS: AtomicU64 = AtomicU64::new(0);
-
-/// Arms injected parser panics: any [`ChaosParser`] panics on data
-/// whose content hash is `0 (mod modulus)`. `modulus` is clamped to at
-/// least 2 (1 would panic on everything, including the probes that
-/// reject the stream).
-pub fn arm_parser_panics(modulus: u64) {
-    PANIC_MODULUS.store(modulus.max(2), Ordering::SeqCst);
-}
-
-/// Disarms injected parser panics.
-pub fn disarm_parser_panics() {
-    PANIC_MODULUS.store(0, Ordering::SeqCst);
-}
-
-/// Currently armed modulus, if any.
-pub fn armed_modulus() -> Option<u64> {
-    match PANIC_MODULUS.load(Ordering::SeqCst) {
-        0 => None,
-        m => Some(m),
-    }
-}
 
 /// FNV-1a over the payload: cheap, stable, and endian-free, so the
 /// panic decision depends only on bytes on the wire.
@@ -63,9 +38,33 @@ pub fn content_hash(data: &[u8]) -> u64 {
 ///   connections reach the parse path,
 /// * otherwise — `NotForUs` / `Error` (a well-behaved rejection).
 ///
-/// Disarmed, it never claims or panics.
-#[derive(Debug, Default)]
-pub struct ChaosParser;
+/// Disarmed (no modulus), it never claims or panics.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ChaosParser {
+    modulus: Option<u64>,
+}
+
+impl ChaosParser {
+    /// A parser that panics on data whose content hash is
+    /// `0 (mod modulus)`. `modulus` is clamped to at least 2 (1 would
+    /// panic on everything, including the probes that reject the
+    /// stream).
+    pub fn armed(modulus: u64) -> Self {
+        ChaosParser {
+            modulus: Some(modulus.max(2)),
+        }
+    }
+
+    /// A parser that never claims a stream or panics.
+    pub fn disarmed() -> Self {
+        ChaosParser { modulus: None }
+    }
+
+    /// The armed modulus, if any.
+    pub fn modulus(&self) -> Option<u64> {
+        self.modulus
+    }
+}
 
 impl ConnParser for ChaosParser {
     fn name(&self) -> &'static str {
@@ -73,7 +72,7 @@ impl ConnParser for ChaosParser {
     }
 
     fn probe(&self, data: &[u8], _dir: Direction) -> ProbeResult {
-        let Some(modulus) = armed_modulus() else {
+        let Some(modulus) = self.modulus else {
             return ProbeResult::NotForUs;
         };
         match content_hash(data) % modulus {
@@ -84,7 +83,7 @@ impl ConnParser for ChaosParser {
     }
 
     fn parse(&mut self, data: &[u8], _dir: Direction) -> ParseResult {
-        let Some(modulus) = armed_modulus() else {
+        let Some(modulus) = self.modulus else {
             return ParseResult::Error;
         };
         if content_hash(data).is_multiple_of(modulus) {
@@ -98,23 +97,24 @@ impl ConnParser for ChaosParser {
     }
 }
 
-/// Registry factory for [`ChaosParser`] (a plain `fn`, as
-/// `ParserRegistry::register` requires).
-pub fn chaos_parser_factory() -> Box<dyn ConnParser> {
-    Box::new(ChaosParser)
+/// Registry factory for [`ChaosParser`]s armed with `modulus` (see
+/// [`ChaosParser::armed`]); register it in place of a real protocol's
+/// parser, e.g. `registry.register("tls", chaos_parser_factory(m))`.
+pub fn chaos_parser_factory(
+    modulus: u64,
+) -> impl Fn() -> Box<dyn ConnParser> + Send + Sync + 'static {
+    let parser = ChaosParser::armed(modulus);
+    move || Box::new(parser) as Box<dyn ConnParser>
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // One test drives both the disarmed and armed states: the arming
-    // switch is process-global, so separate #[test] functions would
-    // race each other under the parallel test harness.
     #[test]
-    fn arming_switch_controls_panics() {
-        disarm_parser_panics();
-        let mut p = ChaosParser;
+    fn disarmed_parser_never_claims_or_panics() {
+        let mut p = ChaosParser::disarmed();
+        assert_eq!(p.modulus(), None);
         assert_eq!(
             p.probe(b"anything", Direction::ToServer),
             ProbeResult::NotForUs
@@ -124,8 +124,10 @@ mod tests {
             ParseResult::Error
         );
         assert!(p.drain_sessions().is_empty());
+    }
 
-        arm_parser_panics(4);
+    #[test]
+    fn armed_parser_panics_by_content_class() {
         // Find one payload per residue class.
         let mut by_class: [Option<u8>; 4] = [None; 4];
         for b in 0u8..=255 {
@@ -133,8 +135,11 @@ mod tests {
         }
         let panicking = by_class[0].expect("some byte hashes to class 0");
         let claiming = by_class[1].expect("some byte hashes to class 1");
-        let p = ChaosParser;
-        let caught = std::panic::catch_unwind(|| p.probe(&[panicking], Direction::ToServer));
+        // The factory's parsers carry the modulus they were built with.
+        let p = chaos_parser_factory(4)();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.probe(&[panicking], Direction::ToServer)
+        }));
         assert!(caught.is_err(), "class-0 content must panic");
         assert_eq!(
             p.probe(&[claiming], Direction::ToServer),
@@ -145,7 +150,7 @@ mod tests {
             p.probe(&[claiming], Direction::ToClient),
             ProbeResult::Certain
         );
-        disarm_parser_panics();
+        assert_eq!(ChaosParser::armed(1).modulus(), Some(2), "clamped");
     }
 
     #[test]

@@ -64,6 +64,7 @@ pub mod monitor;
 pub mod offline;
 pub mod reconfig;
 pub mod runtime;
+mod rx;
 pub mod stats;
 pub mod step;
 pub mod subscribables;

@@ -59,7 +59,7 @@ use crate::config::RuntimeConfig;
 use crate::erased::{ErasedSink, ErasedSubscription, TypedSubscription};
 use crate::executor::{channel_dispatcher, CallbackDelayFn, DispatchMode, Dispatcher};
 use crate::runtime::{RuntimeGauges, TraceHandle};
-use crate::subscription::{Level, Subscribable};
+use crate::subscription::Subscribable;
 
 /// Ack-slot sentinel: the worker has exited (end of run). A grace
 /// period treats an exited worker as having acknowledged every
@@ -286,9 +286,6 @@ pub(crate) struct ConfigEpoch<F: FilterFns + 'static> {
     /// a run's first epoch). Valid because grace-period serialization
     /// guarantees no worker ever skips a generation.
     pub(crate) remap: Vec<Option<usize>>,
-    /// Packet-level subscriptions (callback straight off the packet
-    /// filter).
-    pub(crate) packet_mask: SubscriptionSet,
     /// Per-core sink sets, each claimed (taken) exactly once by its
     /// worker. Sets left unclaimed when the epoch retires are dropped
     /// by the retirer so the dispatch rings disconnect.
@@ -495,19 +492,12 @@ impl SwapController {
             &delay,
             None,
         );
-        let mut packet_mask = SubscriptionSet::empty();
-        for (j, sub) in prepared.subs.iter().enumerate() {
-            if sub.level() == Level::Packet {
-                packet_mask.insert(j);
-            }
-        }
         let generation = old.generation + 1;
         let epoch = Arc::new(ConfigEpoch {
             generation,
             filter: prepared.filter,
             subs: prepared.subs,
             remap: prepared.remap.clone(),
-            packet_mask,
             sinks: Mutex::new(per_core_sinks.into_iter().map(Some).collect()),
             hub,
             dispatcher: Mutex::new(Some(dispatcher)),
@@ -611,15 +601,4 @@ impl SwapController {
         ev.retired_at = retired_at;
         Ok(ev.clone())
     }
-}
-
-/// A swap scheduled inside a deterministic stepped run (see
-/// [`MultiRuntime::run_stepped_with_swap`](crate::MultiRuntime::run_stepped_with_swap)):
-/// the prepared configuration plus the packet index to apply it at.
-pub(crate) struct StepSwap<F: FilterFns + 'static> {
-    pub(crate) at_packet: u64,
-    pub(crate) filter: Arc<F>,
-    pub(crate) subs: Vec<Arc<dyn ErasedSubscription>>,
-    pub(crate) modes: Vec<DispatchMode>,
-    pub(crate) remap: Vec<Option<usize>>,
 }

@@ -41,24 +41,23 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use retina_filter::{CompiledFilter, FilterFns, PacketVerdict, SubscriptionSet};
+use retina_filter::{CompiledFilter, FilterFns, SubscriptionSet};
 use retina_nic::{PortStatsSnapshot, VirtualNic};
 use retina_support::bytes::Bytes;
 use retina_telemetry::{
-    CounterId, DispatchHub, DropBreakdown, DropReason, GaugeId, GaugeMerge, Registry, StageSummary,
-    TelemetrySnapshot, TraceConfig, TraceKind, TraceReport, Tracer, TriggerReason,
+    CounterId, DispatchHub, DispatchSnapshot, DropBreakdown, DropReason, GaugeId, GaugeMerge,
+    Registry, StageSummary, TelemetrySnapshot, TraceConfig, TraceReport, Tracer, TriggerReason,
 };
-use retina_wire::ParsedPacket;
 
 use crate::config::RuntimeConfig;
-use crate::erased::{ErasedSubscription, TypedSubscription};
+use crate::erased::{ErasedSink, ErasedSubscription, TypedSubscription};
 use crate::executor::{channel_dispatcher, CallbackDelayFn, DispatchMode};
 use crate::governor::{Governor, GovernorConfig, ShedState};
 use crate::reconfig::{ConfigEpoch, EpochState, SwapController, EXITED};
+use crate::rx::RxCore;
 use crate::stats::CoreStats;
-use crate::subscription::{Level, Subscribable};
-use crate::tracker::{ConnTracker, SubTally};
-use crate::util::rdtsc;
+use crate::subscription::Subscribable;
+use crate::tracker::SubTally;
 
 /// Shared slot holding the in-flight run's tracer.
 ///
@@ -271,6 +270,62 @@ pub struct SubReport {
     pub queue_depth_peak: u64,
     /// Total dispatch-ring capacity (0 = inline execution).
     pub queue_capacity: u64,
+}
+
+/// Assembles a run's per-subscription rows: the final table's
+/// subscriptions in registration order (with their final dispatch
+/// counters), then names removed by a swap and never re-added, sorted.
+/// Per-core and banked tallies merge by name, and dispatch counters
+/// banked when a swap retired a subscription fold back in by name.
+pub(crate) fn sub_reports(
+    subs: &[Arc<dyn ErasedSubscription>],
+    dispatch: &[DispatchSnapshot],
+    tallies: impl IntoIterator<Item = (String, SubTally)>,
+    retired: &[(String, DispatchSnapshot)],
+) -> Vec<SubReport> {
+    let mut tally_map: BTreeMap<String, SubTally> = BTreeMap::new();
+    for (name, t) in tallies {
+        tally_map.entry(name).or_default().merge(&t);
+    }
+    let row = |name: String, t: SubTally, d: &DispatchSnapshot| {
+        let mut report = SubReport {
+            name,
+            delivered: t.delivered,
+            discarded: t.discarded,
+            cb_executed: d.executed,
+            cb_dropped_full: d.dropped_full,
+            cb_dropped_disconnected: d.dropped_disconnected,
+            queue_depth_peak: d.depth_peak,
+            queue_capacity: d.capacity,
+        };
+        for (_, rs) in retired.iter().filter(|(n, _)| *n == report.name) {
+            report.cb_executed += rs.executed;
+            report.cb_dropped_full += rs.dropped_full;
+            report.cb_dropped_disconnected += rs.dropped_disconnected;
+            report.queue_depth_peak = report.queue_depth_peak.max(rs.depth_peak);
+        }
+        report
+    };
+    let mut rows: Vec<SubReport> = subs
+        .iter()
+        .zip(dispatch)
+        .map(|(sub, d)| {
+            let t = tally_map.remove(sub.name()).unwrap_or_default();
+            row(sub.name().to_string(), t, d)
+        })
+        .collect();
+    for (name, t) in tally_map {
+        let capacity = retired
+            .iter()
+            .filter(|(n, _)| *n == name)
+            .map(|(_, rs)| rs.capacity)
+            .max()
+            .unwrap_or(0);
+        let mut report = row(name, t, &DispatchSnapshot::default());
+        report.queue_capacity = capacity;
+        rows.push(report);
+    }
+    rows
 }
 
 /// Result of a completed run.
@@ -970,15 +1025,6 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             tracer.as_ref(),
         );
 
-        // Which subscriptions take the packet-level fast path (callback
-        // straight off the packet filter, no connection state).
-        let mut packet_mask = SubscriptionSet::empty();
-        for (i, sub) in self.subs.iter().enumerate() {
-            if sub.level() == Level::Packet {
-                packet_mask.insert(i);
-            }
-        }
-
         // Epoch 0: bundle this run's initial configuration and publish
         // it, so workers and any SwapController share one view. The
         // generation counter persists across runs (and swaps), so a
@@ -989,7 +1035,6 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             filter: Arc::clone(&self.filter),
             subs: self.subs.clone(),
             remap: Vec::new(),
-            packet_mask,
             sinks: Mutex::new(per_core_sinks.into_iter().map(Some).collect()),
             hub: Arc::clone(&self.hub),
             dispatcher: Mutex::new(Some(dispatcher)),
@@ -1008,39 +1053,29 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         // Worker threads: one per core, each claiming its own sink set
         // from the epoch (SPSC producers must never be shared between
         // cores).
-        let mut workers = Vec::new();
-        for core in 0..cores {
-            let core_trace = tracer.as_ref().map(|t| (Arc::clone(t), t.rx_lane(core)));
-            let core = core as u16;
-            let nic = Arc::clone(&self.nic);
-            let epochs = Arc::clone(&self.epochs);
-            let done = Arc::clone(&ingest_done);
-            let gauges = Arc::clone(&self.gauges);
-            let shed = Arc::clone(&self.shed);
-            let config = self.config.clone();
-            workers.push(std::thread::spawn(move || {
-                worker_loop::<F>(
-                    core,
-                    &nic,
-                    &epochs,
-                    &done,
-                    &gauges,
-                    &shed,
-                    &config,
-                    core_trace.as_ref(),
-                )
-            }));
-        }
+        let workers: Vec<_> = (0..cores)
+            .map(|core| {
+                let worker = Worker {
+                    core: core as u16,
+                    nic: Arc::clone(&self.nic),
+                    epochs: Arc::clone(&self.epochs),
+                    ingest_done: Arc::clone(&ingest_done),
+                    gauges: Arc::clone(&self.gauges),
+                    shed: Arc::clone(&self.shed),
+                    config: self.config.clone(),
+                    trace: tracer.as_ref().map(|t| (Arc::clone(t), t.rx_lane(core))),
+                };
+                std::thread::spawn(move || worker.run())
+            })
+            .collect();
 
         let sim_duration_ns = ingest.join().expect("ingest thread panicked");
         let mut cores = CoreStats::default();
-        let mut tally_map: BTreeMap<String, SubTally> = BTreeMap::new();
+        let mut tallies = Vec::new();
         for w in workers {
             let (stats, named) = w.join().expect("worker thread panicked");
             cores.merge(&stats);
-            for (name, t) in named {
-                tally_map.entry(name).or_default().merge(&t);
-            }
+            tallies.extend(named);
         }
         // Take the final epoch (whatever generation was current when
         // the run drained) under the swap lock, so a racing swap either
@@ -1062,11 +1097,10 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         if let Some(d) = final_epoch.dispatcher.lock().unwrap().take() {
             let _ = d.join();
         }
-        let dispatch = final_epoch.hub.snapshots();
         // Dispatch counters of subscriptions removed by swaps, folded
         // back in by name (a name removed and re-added reports one
         // whole-run row).
-        let retired: Vec<(String, retina_telemetry::DispatchSnapshot)> = self
+        let retired: Vec<(String, DispatchSnapshot)> = self
             .epochs
             .retired
             .lock()
@@ -1074,56 +1108,12 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             .drain(..)
             .map(|(name, stats)| (name, stats.snapshot()))
             .collect();
-        let mut subs: Vec<SubReport> = Vec::with_capacity(final_epoch.subs.len());
-        for (i, sub) in final_epoch.subs.iter().enumerate() {
-            let name = sub.name().to_string();
-            let t = tally_map.remove(&name).unwrap_or_default();
-            let d = &dispatch[i];
-            let mut report = SubReport {
-                name,
-                delivered: t.delivered,
-                discarded: t.discarded,
-                cb_executed: d.executed,
-                cb_dropped_full: d.dropped_full,
-                cb_dropped_disconnected: d.dropped_disconnected,
-                queue_depth_peak: d.depth_peak,
-                queue_capacity: d.capacity,
-            };
-            for (rname, rs) in &retired {
-                if *rname == report.name {
-                    report.cb_executed += rs.executed;
-                    report.cb_dropped_full += rs.dropped_full;
-                    report.cb_dropped_disconnected += rs.dropped_disconnected;
-                    report.queue_depth_peak = report.queue_depth_peak.max(rs.depth_peak);
-                }
-            }
-            subs.push(report);
-        }
-        // Subscriptions removed by a swap and never re-added: report
-        // their tallies plus banked dispatch counters (sorted by name —
-        // BTreeMap iteration order).
-        for (name, t) in tally_map {
-            let mut report = SubReport {
-                name,
-                delivered: t.delivered,
-                discarded: t.discarded,
-                cb_executed: 0,
-                cb_dropped_full: 0,
-                cb_dropped_disconnected: 0,
-                queue_depth_peak: 0,
-                queue_capacity: 0,
-            };
-            for (rname, rs) in &retired {
-                if *rname == report.name {
-                    report.cb_executed += rs.executed;
-                    report.cb_dropped_full += rs.dropped_full;
-                    report.cb_dropped_disconnected += rs.dropped_disconnected;
-                    report.queue_depth_peak = report.queue_depth_peak.max(rs.depth_peak);
-                    report.queue_capacity = report.queue_capacity.max(rs.capacity);
-                }
-            }
-            subs.push(report);
-        }
+        let subs = sub_reports(
+            &final_epoch.subs,
+            &final_epoch.hub.snapshots(),
+            tallies,
+            &retired,
+        );
         let mbuf_high_water = self.nic.mempool().high_water();
         self.gauges.note_mbuf_high_water(mbuf_high_water);
         let mut report = RunReport {
@@ -1230,256 +1220,119 @@ impl<S: Subscribable, F: FilterFns + 'static> Runtime<S, F> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<F: FilterFns>(
+/// One threaded RX core: polls its NIC queue and feeds the bursts to
+/// its `RxCore`, adopting published configuration epochs between
+/// bursts, until ingest has finished and its queue is empty.
+struct Worker<F: FilterFns + 'static> {
     core: u16,
-    nic: &VirtualNic,
-    epochs: &EpochState<F>,
-    ingest_done: &AtomicBool,
-    gauges: &RuntimeGauges,
-    shed: &ShedState,
-    config: &RuntimeConfig,
-    trace: Option<&(Arc<Tracer>, usize)>,
-) -> (CoreStats, Vec<(String, SubTally)>) {
-    // Claim the current epoch and this core's sink set. run() publishes
-    // epoch 0 before spawning workers, but a swap may already have
-    // advanced the generation — claiming whatever is current (and
-    // acking it) keeps the grace-period protocol consistent either way.
-    let mut epoch = epochs
-        .current
-        .read()
-        .unwrap()
-        .clone()
-        .expect("run() publishes epoch 0 before spawning workers");
-    let mut cur_gen = epoch.generation;
-    let mut sinks = epoch.sinks.lock().unwrap()[core as usize]
-        .take()
-        .expect("each worker claims its sink set exactly once");
-    let mut filter = Arc::clone(&epoch.filter);
-    let mut packet_mask = epoch.packet_mask;
-    // (name, tally) pairs of subscriptions removed by swaps this worker
-    // observed, reported alongside the final epoch's tallies.
-    let mut removed_tallies: Vec<(String, SubTally)> = Vec::new();
-    let mut tracker: ConnTracker<F> = ConnTracker::with_registry(
-        Arc::clone(&filter),
-        &epoch.subs,
-        config.timeouts,
-        config.ooo_capacity,
-        config.profile_stages,
-        config.parsers.clone(),
-    );
-    if let Some((t, lane)) = trace {
-        tracker.set_tracer(Arc::clone(t), *lane);
-    }
-    epochs.acks[core as usize].store(cur_gen, Ordering::Release);
-    let mut burst = Vec::with_capacity(config.burst);
-    let mut max_ts = 0u64;
-    let mut since_advance = 0usize;
-    let profile = config.profile_stages;
+    nic: Arc<VirtualNic>,
+    epochs: Arc<EpochState<F>>,
+    ingest_done: Arc<AtomicBool>,
+    gauges: Arc<RuntimeGauges>,
+    shed: Arc<ShedState>,
+    config: RuntimeConfig,
+    trace: Option<(Arc<Tracer>, usize)>,
+}
 
-    // Shared per-delivery bookkeeping: count the callback and time it.
-    macro_rules! deliver {
-        ($idx:expr, $tid:expr, $out:expr) => {{
-            let tc = profile.then(rdtsc);
-            tracker.stats.callbacks.runs += 1;
-            sinks[$idx].deliver($out, $tid);
-            if let Some(t) = tc {
-                tracker
-                    .stats
-                    .callbacks
-                    .record_cycles(rdtsc().wrapping_sub(t));
+/// Non-empty bursts between connection-timeout sweeps.
+const ADVANCE_EVERY: usize = 64;
+
+impl<F: FilterFns + 'static> Worker<F> {
+    /// The current epoch and this core's sink set from it (each set is
+    /// claimed exactly once: SPSC producers are never shared between
+    /// cores).
+    fn claim(&self) -> (Arc<ConfigEpoch<F>>, Vec<Box<dyn ErasedSink>>) {
+        let epoch = self
+            .epochs
+            .current
+            .read()
+            .unwrap()
+            .clone()
+            .expect("a published generation always has an epoch");
+        let sinks = epoch.sinks.lock().unwrap()[self.core as usize]
+            .take()
+            .expect("each worker claims its sink set exactly once");
+        (epoch, sinks)
+    }
+
+    fn run(self) -> (CoreStats, Vec<(String, SubTally)>) {
+        let c = self.core as usize;
+        // run() publishes epoch 0 before spawning workers, but a swap may
+        // already have advanced the generation — claiming whatever is
+        // current (and acking it) keeps the grace-period protocol
+        // consistent either way.
+        let (mut epoch, sinks) = self.claim();
+        let mut rx = RxCore::new(Arc::clone(&epoch.filter), &epoch.subs, &self.config, sinks)
+            .with_gauges(Arc::clone(&self.gauges), c);
+        if let Some((t, lane)) = &self.trace {
+            rx = rx.with_tracer(Arc::clone(t), *lane);
+        }
+        self.epochs.acks[c].store(epoch.generation, Ordering::Release);
+        let mut burst = Vec::with_capacity(self.config.burst);
+        let mut since_advance = 0usize;
+        loop {
+            // Epoch pickup: one Acquire load per burst. On a generation
+            // change, adopt the new configuration at this safe point,
+            // then acknowledge so the publisher's grace period can end.
+            // Swaps are serialized and each waits out its grace period,
+            // so the generation is never more than one ahead.
+            if self.epochs.generation.load(Ordering::Acquire) != epoch.generation {
+                if let Some(delay) = self.nic.fault_swap_pickup_delay(self.core) {
+                    std::thread::sleep(delay);
+                }
+                let (new_epoch, sinks) = self.claim();
+                rx.adopt(
+                    Arc::clone(&new_epoch.filter),
+                    &new_epoch.subs,
+                    &new_epoch.remap,
+                    sinks,
+                );
+                epoch = new_epoch;
+                if let Some(us) = self.epochs.note_pickup(c, epoch.generation) {
+                    self.gauges.note_swap_pickup_lag(c, us);
+                }
+                self.epochs.acks[c].store(epoch.generation, Ordering::Release);
             }
-        }};
-    }
-
-    loop {
-        // Epoch pickup: one Acquire load per burst. On a generation
-        // change, adopt the new configuration at this safe point —
-        // drain removed subscriptions (their data still routes through
-        // the OLD sinks), rebind surviving per-connection state, claim
-        // the new sink set, then acknowledge so the publisher's grace
-        // period can end. Swaps are serialized and each waits out its
-        // grace period, so the generation is never more than one ahead.
-        let published = epochs.generation.load(Ordering::Acquire);
-        if published != cur_gen {
-            if let Some(delay) = nic.fault_swap_pickup_delay(core) {
+            // Injected worker-core slowdown (fault layer): stall before
+            // polling, as a scheduling hiccup would.
+            if let Some(delay) = self.nic.fault_worker_delay(self.core) {
                 std::thread::sleep(delay);
             }
-            let new_epoch = epochs
-                .current
-                .read()
-                .unwrap()
-                .clone()
-                .expect("a published generation always has an epoch");
-            let banked = tracker.rebind(
-                Arc::clone(&new_epoch.filter),
-                &new_epoch.subs,
-                &new_epoch.remap,
-            );
-            for (idx, tid, out) in tracker.take_outputs() {
-                deliver!(idx as usize, tid, out);
-            }
-            removed_tallies.extend(banked);
-            epoch = new_epoch;
-            sinks = epoch.sinks.lock().unwrap()[core as usize]
-                .take()
-                .expect("each worker claims its sink set exactly once");
-            filter = Arc::clone(&epoch.filter);
-            packet_mask = epoch.packet_mask;
-            cur_gen = epoch.generation;
-            if let Some(us) = epochs.note_pickup(core as usize, cur_gen) {
-                gauges.note_swap_pickup_lag(core as usize, us);
-            }
-            epochs.acks[core as usize].store(cur_gen, Ordering::Release);
-        }
-        // Injected worker-core slowdown (fault layer): stall before
-        // polling, as a scheduling hiccup would.
-        if let Some(delay) = nic.fault_worker_delay(core) {
-            std::thread::sleep(delay);
-        }
-        burst.clear();
-        let n = nic.rx_burst(core, &mut burst, config.burst);
-        if n == 0 {
-            if ingest_done.load(Ordering::Acquire) {
+            burst.clear();
+            if self.nic.rx_burst(self.core, &mut burst, self.config.burst) == 0 {
                 // Final drain. A single extra poll is not enough: an
                 // injected RX-ring stall makes rx_burst return 0 while
                 // descriptors still sit in the ring, and a fault layer
                 // may hold frames in flight for later redelivery. Exit
                 // only once the ring is truly empty and no injected
-                // fault still holds frames; until then keep polling.
-                if nic.ring_depth(core) == 0 && nic.faults_in_flight() == 0 {
+                // fault still holds frames. Until then — and while
+                // ingest runs — yield, so on busy hosts (or single-CPU
+                // machines) the ingest thread and sibling workers make
+                // progress.
+                if self.ingest_done.load(Ordering::Acquire)
+                    && self.nic.ring_depth(self.core) == 0
+                    && self.nic.faults_in_flight() == 0
+                {
                     break;
                 }
                 std::thread::yield_now();
                 continue;
-            } else {
-                // On busy hosts (or single-CPU machines) yielding lets the
-                // ingest thread and sibling workers make progress.
-                std::thread::yield_now();
-                continue;
+            }
+            // Pick up governor decisions once per burst: a relaxed load,
+            // so shedding costs nothing on the per-packet path.
+            rx.set_shed_parsing(self.shed.parsing_shed());
+            rx.burst(burst.drain(..));
+            since_advance += 1;
+            if since_advance >= ADVANCE_EVERY {
+                since_advance = 0;
+                rx.advance();
             }
         }
-        // Pick up governor decisions once per burst: a relaxed load,
-        // so shedding costs nothing on the per-packet path.
-        tracker.set_shed_parsing(shed.parsing_shed());
-        for mbuf in burst.drain(..) {
-            tracker.stats.rx_packets += 1;
-            tracker.stats.rx_bytes += mbuf.len() as u64;
-            max_ts = max_ts.max(mbuf.timestamp_ns);
-
-            let Ok(pkt) = ParsedPacket::parse(mbuf.data()) else {
-                tracker.stats.parse_failures += 1;
-                continue;
-            };
-
-            // Software packet filter (§4.1) — one walk decides every
-            // subscription.
-            let tf = profile.then(rdtsc);
-            let verdict = filter.packet_filter_set(&pkt);
-            tracker.stats.packet_filter.runs += 1;
-            if let Some(t) = tf {
-                tracker
-                    .stats
-                    .packet_filter
-                    .record_cycles(rdtsc().wrapping_sub(t));
-            }
-            let tid = match trace {
-                Some((t, lane)) => {
-                    // The NIC stamped the symmetric RSS hash on the
-                    // mbuf; the sampling decision is one finalizer.
-                    let tid = t.sample_flow(mbuf.rss_hash);
-                    if tid != 0 {
-                        t.emit(
-                            *lane,
-                            tid,
-                            TraceKind::PacketVerdict,
-                            0,
-                            verdict.matched.bits(),
-                            verdict.live.bits(),
-                        );
-                        for f in verdict.frontiers.iter() {
-                            t.emit(*lane, tid, TraceKind::FilterNode, 0, u64::from(f), 0);
-                        }
-                    }
-                    tid
-                }
-                None => 0,
-            };
-            if verdict.is_no_match() {
-                continue;
-            }
-
-            // Bypass: packet-level subscriptions whose filter matched
-            // terminally get their callback straight off the packet
-            // filter, no connection state.
-            let bypass = verdict.matched & packet_mask;
-            for i in bypass.iter() {
-                let tc = profile.then(rdtsc);
-                if sinks[i].deliver_from_mbuf(&mbuf, tid) {
-                    tracker.stats.callbacks.runs += 1;
-                    tracker.sub_tallies[i].delivered += 1;
-                    if let Some(t) = tc {
-                        tracker
-                            .stats
-                            .callbacks
-                            .record_cycles(rdtsc().wrapping_sub(t));
-                    }
-                }
-            }
-
-            let verdict = PacketVerdict {
-                matched: verdict.matched - packet_mask,
-                live: verdict.live,
-                frontiers: verdict.frontiers,
-            };
-            if verdict.is_no_match() {
-                continue;
-            }
-            tracker.process(&mbuf, &pkt, verdict);
-            for (idx, tid, out) in tracker.take_outputs() {
-                deliver!(idx as usize, tid, out);
-            }
-        }
-        since_advance += 1;
-        if since_advance >= 64 {
-            since_advance = 0;
-            tracker.advance(max_ts);
-            for (idx, tid, out) in tracker.take_outputs() {
-                deliver!(idx as usize, tid, out);
-            }
-            gauges.worker_update(
-                core as usize,
-                &tracker.stats,
-                tracker.connections(),
-                tracker.state_bytes(),
-                tracker.arena_bytes(),
-                max_ts,
-            );
-        }
+        // Drain still-open connections at end of input.
+        let out = rx.finish();
+        // Exited: any in-flight (or future) grace period treats this core
+        // as having acknowledged every generation.
+        self.epochs.acks[c].store(EXITED, Ordering::Release);
+        out
     }
-
-    // Drain still-open connections at end of input.
-    tracker.drain();
-    for (idx, tid, out) in tracker.take_outputs() {
-        deliver!(idx as usize, tid, out);
-    }
-    gauges.worker_update(
-        core as usize,
-        &tracker.stats,
-        0,
-        0,
-        tracker.arena_bytes(),
-        max_ts,
-    );
-    // Exited: any in-flight (or future) grace period treats this core
-    // as having acknowledged every generation.
-    epochs.acks[core as usize].store(EXITED, Ordering::Release);
-    let mut named: Vec<(String, SubTally)> = epoch
-        .subs
-        .iter()
-        .zip(&tracker.sub_tallies)
-        .map(|(s, t)| (s.name().to_string(), *t))
-        .collect();
-    named.extend(removed_tallies);
-    (tracker.stats, named)
 }

@@ -4,10 +4,11 @@
 //! itself — thread scheduling hides interleavings, and a test that
 //! passes under one kernel scheduler may never exercise the full-ring
 //! or worker-starved paths at all. [`MultiRuntime::run_stepped`] removes
-//! the scheduler from the picture: it executes the *same* pipeline
-//! logic (same packet filter, same tracker, same per-subscription
-//! dispatch modes and queue policies) on one thread, interleaving an RX
-//! actor and one virtual worker per dispatched subscription under a
+//! the scheduler from the picture: it drives the *same* per-packet code
+//! as a threaded worker — one `RxCore` running parse, packet filter,
+//! bypass or conntrack, and delivery, with the same per-subscription
+//! dispatch modes and queue policies — on one thread, interleaving that
+//! RX actor and one virtual worker per dispatched subscription under a
 //! seeded schedule. Every interleaving is a pure function of
 //! [`StepConfig::seed`], so a failing schedule replays bit for bit.
 //!
@@ -25,35 +26,40 @@
 //!   worker for a step window must not stall its siblings (their
 //!   queues keep draining while the stalled queue backs up).
 //!
-//! Virtual time means real time never appears: a "stall" is a window of
-//! step numbers, queues are plain bounded buffers, and a blocked RX
-//! core is modeled by a holding buffer that must flush (in FIFO order,
-//! exactly like a blocked SPSC `send`) before the next frame is read.
-//! The live [`crate::telemetry::DispatchHub`] is not touched; the run
-//! keeps its own stats so stepped tests never race a governor.
+//! What the stepped mode supplies around the shared core: the actor
+//! schedule, the ingest-lane tracepoints a NIC would have written, and
+//! the delivery layer behind the core's sinks. Virtual time means real
+//! time never appears: a "stall" is a window of step numbers, queues
+//! are plain bounded buffers, and a blocked RX core is modeled by a
+//! holding buffer that must flush (in FIFO order, exactly like a
+//! blocked SPSC `send`) before the next frame is read. The live
+//! [`crate::telemetry::DispatchHub`] is not touched; the run keeps its
+//! own stats so stepped tests never race a governor.
 
 // Narrowing casts in this file are intentional: packet counts and
 // subscription indices narrow to compact counter fields by design.
 #![allow(clippy::cast_possible_truncation)]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use retina_filter::{CompiledFilter, FilterFns, PacketVerdict, SubscriptionSet};
+use retina_filter::{CompiledFilter, FilterFns};
 use retina_nic::{Mbuf, PortStatsSnapshot, RssHasher};
 use retina_support::bytes::Bytes;
 use retina_support::rand::{RngExt, SeedableRng, SmallRng};
 use retina_telemetry::trace::{TraceDropCode, TraceHwAction};
 use retina_telemetry::{DispatchSnapshot, DispatchStats, TraceKind, Tracer, TriggerReason};
-use retina_wire::ParsedPacket;
 
-use crate::erased::{ErasedOutput, ErasedSink};
-use crate::executor::QueuePolicy;
-use crate::reconfig::{StepSwap, SwapError, SwapSpec};
-use crate::runtime::{MultiRuntime, RunReport, SubReport};
-use crate::subscription::Level;
-use crate::tracker::{ConnTracker, SubTally};
+use crate::erased::{ErasedOutput, ErasedSink, ErasedSubscription};
+use crate::executor::{DispatchMode, QueuePolicy};
+use crate::governor::ShedState;
+use crate::reconfig::{PreparedSwap, SwapError, SwapSpec};
+use crate::runtime::{sub_reports, MultiRuntime, RunReport};
+use crate::rx::{stamp_rss_hash, RxCore, RxSinks};
+use crate::stats::CoreStats;
+use crate::tracker::SubTally;
 
 /// Freezes one subscription's virtual worker for a window of steps:
 /// while `step ∈ [from_step, from_step + steps)` the worker pops
@@ -93,8 +99,8 @@ pub struct StepConfig {
     /// Items a virtual worker pops per step it is scheduled.
     pub worker_batch: usize,
     /// RX steps between connection-timeout sweeps
-    /// ([`ConnTracker::advance`] cadence, mirroring the threaded
-    /// worker's every-64-bursts maintenance block).
+    /// ([`crate::tracker::ConnTracker::advance`] cadence, mirroring the
+    /// threaded worker's every-64-bursts maintenance block).
     pub advance_every: usize,
     /// Optional worker freeze for isolation/backpressure tests.
     pub stall: Option<WorkerStall>,
@@ -130,8 +136,329 @@ impl StepConfig {
     }
 }
 
-fn stall_blocks(stall: Option<&WorkerStall>, sub: usize, step: u64) -> bool {
-    stall.is_some_and(|s| s.blocks(sub, step))
+/// The stepped run's delivery layer: one inline sink or bounded virtual
+/// queue per subscription, plus the parked-send buffer — the
+/// single-threaded mirror of the threaded runtime's inline sinks and
+/// SPSC rings, tracepoint order included.
+struct Fabric {
+    subs: Vec<Arc<dyn ErasedSubscription>>,
+    policies: Vec<QueuePolicy>,
+    /// Queue capacity per subscription; 0 = inline (no worker).
+    caps: Vec<usize>,
+    stats: Vec<DispatchStats>,
+    sinks: Vec<Box<dyn ErasedSink>>,
+    queues: Vec<VecDeque<(u64, ErasedOutput)>>,
+    /// The blocked-RX holding buffer: results a real RX core would be
+    /// spinning on in a blocking SPSC send. FIFO flush order is the
+    /// blocked-send order; while non-empty the RX actor reads nothing.
+    pending: VecDeque<(usize, u64, ErasedOutput)>,
+    /// Dispatched subscriptions, one virtual worker each.
+    workers: Vec<usize>,
+    tracer: Option<Arc<Tracer>>,
+}
+
+/// Queue capacity per subscription, 0 for inline delivery. Spec-only
+/// subscriptions stay inline in every mode (exactly as
+/// `channel_dispatcher` forces them), so stepped accounting matches the
+/// threaded runtime's.
+fn queue_caps(subs: &[Arc<dyn ErasedSubscription>], modes: &[DispatchMode]) -> Vec<usize> {
+    subs.iter()
+        .zip(modes)
+        .map(|(s, m)| if s.has_callback() { m.depth() } else { 0 })
+        .collect()
+}
+
+impl Fabric {
+    fn new(
+        subs: Vec<Arc<dyn ErasedSubscription>>,
+        modes: &[DispatchMode],
+        tracer: Option<Arc<Tracer>>,
+    ) -> Self {
+        let caps = queue_caps(&subs, modes);
+        Fabric {
+            policies: modes.iter().map(DispatchMode::policy).collect(),
+            stats: caps
+                .iter()
+                .map(|&c| DispatchStats::with_capacity(c as u64))
+                .collect(),
+            sinks: subs.iter().map(|s| s.inline_sink()).collect(),
+            queues: caps.iter().map(|&c| VecDeque::with_capacity(c)).collect(),
+            pending: VecDeque::new(),
+            workers: (0..subs.len()).filter(|&i| caps[i] > 0).collect(),
+            caps,
+            subs,
+            tracer,
+        }
+    }
+
+    /// Nothing queued and nothing parked.
+    fn idle(&self) -> bool {
+        self.pending.is_empty() && self.queues.iter().all(VecDeque::is_empty)
+    }
+
+    fn emit_rx(&self, tid: u64, kind: TraceKind, sub: usize, b: u64) {
+        if tid != 0 {
+            if let Some(t) = &self.tracer {
+                t.emit(t.rx_lane(0), tid, kind, sub as u16, 0, b);
+            }
+        }
+    }
+
+    /// One handoff to the delivery layer: run inline, enqueue, park or
+    /// shed per the subscription's mode.
+    fn route(&mut self, i: usize, tid: u64, out: ErasedOutput) {
+        if self.caps[i] == 0 {
+            self.emit_rx(tid, TraceKind::CallbackStart, i, 0);
+            self.sinks[i].deliver(out, tid);
+            self.stats[i].note_inline();
+            self.emit_rx(tid, TraceKind::CallbackEnd, i, 0);
+        } else if self.queues[i].len() < self.caps[i] {
+            self.queues[i].push_back((tid, out));
+            self.stats[i].note_enqueued();
+            self.emit_rx(tid, TraceKind::DispatchEnqueue, i, self.stats[i].depth());
+        } else if self.policies[i] == QueuePolicy::Shed {
+            self.stats[i].note_dropped_full();
+            if let Some(t) = &self.tracer {
+                let code = TraceDropCode::DispatchShed as u64;
+                t.emit(t.rx_lane(0), tid, TraceKind::Drop, i as u16, code, 0);
+                t.trigger(TriggerReason::DispatchShed, i as u64);
+            }
+        } else {
+            self.stats[i].note_blocked();
+            // Emit the enqueue tracepoint now, not at flush: a threaded
+            // RX core blocks inside the send, so its enqueue events land
+            // in route order — the parked send's order — never in flush
+            // order.
+            self.emit_rx(tid, TraceKind::DispatchEnqueue, i, self.stats[i].depth());
+            self.pending.push_back((i, tid, out));
+        }
+    }
+
+    /// Moves parked sends into freed queue slots, in FIFO order.
+    /// Returns whether any moved.
+    fn flush_pending(&mut self) -> bool {
+        let mut moved = false;
+        while let Some(&(i, _, _)) = self.pending.front() {
+            if self.queues[i].len() >= self.caps[i] {
+                break;
+            }
+            let (_, tid, out) = self.pending.pop_front().expect("front checked above");
+            // No tracepoint: the enqueue was recorded when the send
+            // parked (see `route`).
+            self.queues[i].push_back((tid, out));
+            self.stats[i].note_enqueued();
+            moved = true;
+        }
+        moved
+    }
+
+    /// One scheduled step of the virtual worker in `slot`: pops up to
+    /// `batch` items and runs their callbacks. Returns whether it did
+    /// any work.
+    fn work(&mut self, slot: usize, batch: usize) -> bool {
+        let i = self.workers[slot];
+        let lane = self.tracer.as_ref().map(|t| (t, t.worker_lane(slot)));
+        let mut popped = false;
+        for _ in 0..batch.max(1) {
+            let Some((tid, out)) = self.queues[i].pop_front() else {
+                break;
+            };
+            let traced = lane.filter(|_| tid != 0);
+            if let Some((t, lane)) = traced {
+                let depth = self.stats[i].depth();
+                t.emit(lane, tid, TraceKind::DispatchDequeue, i as u16, 0, depth);
+                t.emit(lane, tid, TraceKind::CallbackStart, i as u16, 0, 0);
+            }
+            self.subs[i].invoke(out);
+            if let Some((t, lane)) = traced {
+                t.emit(lane, tid, TraceKind::CallbackEnd, i as u16, 0, 0);
+            }
+            self.stats[i].note_executed();
+            popped = true;
+        }
+        if popped {
+            self.flush_pending();
+        }
+        popped
+    }
+
+    /// Swap-time quiescence: runs every queue to empty and flushes every
+    /// parked send — the single-threaded mirror of the threaded grace
+    /// period. Terminates because each pass first frees queue slots,
+    /// which lets parked sends move.
+    fn drain_all(&mut self) {
+        while !self.idle() {
+            self.flush_pending();
+            for (i, queue) in self.queues.iter_mut().enumerate() {
+                while let Some((_tid, out)) = queue.pop_front() {
+                    self.subs[i].invoke(out);
+                    self.stats[i].note_executed();
+                }
+            }
+        }
+    }
+
+    /// Rebuilds the fabric for a swapped-in table. Survivors carry their
+    /// `DispatchStats` across the swap (exactly as the threaded hub
+    /// shares them), so per-name counters span the whole run; removed
+    /// subscriptions' counters are returned by name.
+    fn rebuild(
+        &mut self,
+        subs: Vec<Arc<dyn ErasedSubscription>>,
+        modes: &[DispatchMode],
+        remap: &[Option<usize>],
+    ) -> Vec<(String, DispatchSnapshot)> {
+        let tracer = self.tracer.clone();
+        let old = std::mem::replace(self, Fabric::new(subs, modes, tracer));
+        let mut retired = Vec::new();
+        for ((sub, stats), m) in old.subs.iter().zip(old.stats).zip(remap) {
+            match *m {
+                Some(j) => self.stats[j] = stats,
+                None => retired.push((sub.name().to_string(), stats.snapshot())),
+            }
+        }
+        retired
+    }
+}
+
+/// The stepped RX core's sinks: the shared fabric.
+impl RxSinks for &RefCell<Fabric> {
+    fn deliver(&mut self, sub: usize, out: ErasedOutput, trace_id: u64) {
+        self.borrow_mut().route(sub, trace_id, out);
+    }
+
+    fn deliver_from_mbuf(&mut self, sub: usize, mbuf: &Mbuf, trace_id: u64) -> bool {
+        let mut fabric = self.borrow_mut();
+        // A spec-only subscription's fast path delivers (and counts)
+        // nothing, like the threaded null sink's.
+        if !fabric.subs[sub].has_callback() {
+            return false;
+        }
+        match fabric.subs[sub].output_from_mbuf(mbuf) {
+            Some(out) => {
+                fabric.route(sub, trace_id, out);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+/// What a finished RX actor leaves behind for the report.
+struct Finished {
+    stats: CoreStats,
+    tallies: Vec<(String, SubTally)>,
+    arena_bytes: usize,
+    max_ts: u64,
+}
+
+/// The stepped run's RX actor: reads frames into the shared `RxCore`,
+/// applies a scheduled swap, and finishes the core once input ends.
+struct StepRx<'a, F: FilterFns> {
+    core: Option<RxCore<F, &'a RefCell<Fabric>>>,
+    finished: Option<Finished>,
+    fabric: &'a RefCell<Fabric>,
+    packets: &'a [(Bytes, u64)],
+    cfg: &'a StepConfig,
+    next_pkt: usize,
+    since_advance: usize,
+    hasher: RssHasher,
+    shed: Arc<ShedState>,
+    tracer: Option<Arc<Tracer>>,
+    swap: Option<(u64, PreparedSwap<F>)>,
+    /// Dispatch counters of subscriptions removed by the swap.
+    retired: Vec<(String, DispatchSnapshot)>,
+}
+
+impl<F: FilterFns> StepRx<'_, F> {
+    /// One scheduled RX step. Returns whether it made progress.
+    fn step(&mut self) -> bool {
+        let mut progressed = self.fabric.borrow_mut().flush_pending();
+        // A blocked send stalls the whole RX core, exactly like the
+        // threaded runtime: no reads, and no epoch pickup mid-send.
+        if !self.fabric.borrow().pending.is_empty() {
+            return progressed;
+        }
+        // A scheduled swap fires once the RX cursor reaches its packet
+        // index (clamped so a swap "after the last packet" still lands
+        // before the final drain).
+        let due = self.packets.len() as u64;
+        if self
+            .swap
+            .as_ref()
+            .is_some_and(|(at, _)| self.next_pkt as u64 >= (*at).min(due))
+        {
+            let (_, sw) = self.swap.take().expect("checked above");
+            self.apply_swap(sw);
+            progressed = true;
+        }
+        let Some(core) = self.core.as_mut() else {
+            return progressed;
+        };
+        if self.next_pkt >= self.packets.len() {
+            let arena_bytes = core.arena_bytes();
+            let max_ts = core.max_ts();
+            let core = self.core.take().expect("matched above");
+            let (stats, tallies) = core.finish();
+            self.finished = Some(Finished {
+                stats,
+                tallies,
+                arena_bytes,
+                max_ts,
+            });
+            return true;
+        }
+        core.set_shed_parsing(self.shed.parsing_shed());
+        let end = (self.next_pkt + self.cfg.rx_batch.max(1)).min(self.packets.len());
+        for seq in self.next_pkt..end {
+            let (frame, ts) = &self.packets[seq];
+            let mut mbuf = Mbuf::from_bytes(frame.clone());
+            mbuf.timestamp_ns = *ts;
+            if stamp_rss_hash(&mut mbuf, &self.hasher) {
+                if let Some(t) = &self.tracer {
+                    trace_ingest(t, &mbuf, seq as u64);
+                }
+            }
+            core.burst([mbuf]);
+        }
+        self.next_pkt = end;
+        self.since_advance += 1;
+        if self.since_advance >= self.cfg.advance_every.max(1) {
+            self.since_advance = 0;
+            core.advance();
+        }
+        true
+    }
+
+    /// Applies the scheduled swap: quiesce the old configuration (every
+    /// queued result executes under the epoch that produced it), let the
+    /// core adopt the new table (removed subscriptions drain through the
+    /// old queues), quiesce again, then rebuild the fabric.
+    fn apply_swap(&mut self, sw: PreparedSwap<F>) {
+        self.fabric.borrow_mut().drain_all();
+        let core = self
+            .core
+            .as_mut()
+            .expect("a swap fires before the final drain");
+        core.adopt(sw.filter, &sw.subs, &sw.remap, self.fabric);
+        let mut fabric = self.fabric.borrow_mut();
+        fabric.drain_all();
+        let retired = fabric.rebuild(sw.subs, &sw.modes, &sw.remap);
+        self.retired.extend(retired);
+    }
+}
+
+/// Ingest-lane mirror of the virtual NIC: one Rx and one HwVerdict
+/// (RSS, queue 0 — a stepped run has a single RX core and no hardware
+/// rules in front of it) per sampled frame.
+fn trace_ingest(t: &Tracer, mbuf: &Mbuf, seq: u64) {
+    let tid = t.sample_flow(mbuf.rss_hash);
+    if tid != 0 {
+        let lane = t.ingest_lane();
+        t.emit(lane, tid, TraceKind::Rx, 0, mbuf.len() as u64, seq);
+        let rss = TraceHwAction::Rss as u64;
+        t.emit(lane, tid, TraceKind::HwVerdict, 0, rss, 0);
+    }
 }
 
 impl<F: FilterFns + 'static> MultiRuntime<F> {
@@ -153,608 +480,122 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         self.run_stepped_inner(packets, cfg, None)
     }
 
-    #[allow(clippy::too_many_lines)]
-    pub(crate) fn run_stepped_inner(
+    fn run_stepped_inner(
         &self,
         packets: &[(Bytes, u64)],
         cfg: &StepConfig,
-        mut swap: Option<StepSwap<F>>,
+        swap: Option<(u64, PreparedSwap<F>)>,
     ) -> RunReport {
-        let mut subs: Vec<_> = self.subs.clone();
-        let mut modes = self.modes.clone();
-        let mut filter = Arc::clone(&self.filter);
-        let mut n = subs.len();
-        let mut tracker: ConnTracker<F> = ConnTracker::with_registry(
-            Arc::clone(&filter),
-            &subs,
-            self.config.timeouts,
-            self.config.ooo_capacity,
-            self.config.profile_stages,
-            self.config.parsers.clone(),
-        );
-        let shed = self.shed_state();
-        // Same fixed symmetric key the virtual NIC installs: stepped
-        // mbufs carry the hash a threaded ingest would have stamped.
-        let hasher = RssHasher::symmetric();
-
-        let mut packet_mask = SubscriptionSet::empty();
-        for (i, sub) in subs.iter().enumerate() {
-            if sub.level() == Level::Packet {
-                packet_mask.insert(i);
-            }
-        }
-
-        // Spec-only subscriptions stay inline in every mode (exactly as
-        // channel_dispatcher forces them), so stepped accounting matches
-        // the threaded runtime's.
-        let mut dispatched: Vec<bool> = (0..n)
-            .map(|i| modes[i].is_dispatched() && subs[i].has_callback())
-            .collect();
-        let mut caps: Vec<usize> = (0..n)
-            .map(|i| if dispatched[i] { modes[i].depth() } else { 0 })
-            .collect();
-        let mut stats: Vec<DispatchStats> = caps
-            .iter()
-            .map(|&c| DispatchStats::with_capacity(c as u64))
-            .collect();
-        let mut sinks: Vec<Box<dyn ErasedSink>> = subs.iter().map(|s| s.inline_sink()).collect();
-        let mut queues: Vec<VecDeque<(u64, ErasedOutput)>> =
-            caps.iter().map(|&c| VecDeque::with_capacity(c)).collect();
-        // The blocked-RX holding buffer: results a real RX core would be
-        // spinning on in a blocking SPSC send. FIFO flush order is the
-        // blocked-send order; while non-empty the RX actor reads nothing.
-        let mut pending: VecDeque<(usize, u64, ErasedOutput)> = VecDeque::new();
-
-        let mut worker_subs: Vec<usize> = (0..n).filter(|&i| dispatched[i]).collect();
-        let mut n_actors = 1 + worker_subs.len();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-
-        // Tallies and dispatch counters of subscriptions removed by a
-        // mid-run swap, banked at the swap point and folded back into
-        // the final report by name (same assembly as the threaded run).
-        let mut banked: Vec<(String, SubTally)> = Vec::new();
-        let mut retired: Vec<(String, DispatchSnapshot)> = Vec::new();
-
         // Virtual-clock tracer: lane layout mirrors the threaded run
         // (ingest, one RX core, one lane per virtual worker), timestamps
         // are the step counter, so a (frames, config) pair fully
-        // determines every recorded event. Lane count covers the larger
-        // of the pre- and post-swap worker sets so a swap that adds
-        // dispatched subscriptions never runs out of lanes.
-        let max_workers = {
-            let post = swap.as_ref().map_or(0, |sw| {
-                (0..sw.subs.len())
-                    .filter(|&j| sw.modes[j].is_dispatched() && sw.subs[j].has_callback())
-                    .count()
-            });
-            worker_subs.len().max(post).max(1)
+        // determines every recorded event. Lanes cover the larger of the
+        // pre- and post-swap worker sets.
+        let workers = |subs: &[Arc<dyn ErasedSubscription>], modes: &[DispatchMode]| {
+            queue_caps(subs, modes).iter().filter(|&&c| c > 0).count()
         };
+        let max_workers = swap
+            .as_ref()
+            .map_or(0, |(_, sw)| workers(&sw.subs, &sw.modes))
+            .max(workers(&self.subs, &self.modes))
+            .max(1);
         let tracer = self
             .trace_config
             .clone()
             .map(|tc| Arc::new(Tracer::new_virtual(tc, 1, max_workers)));
+        let fabric = RefCell::new(Fabric::new(self.subs.clone(), &self.modes, tracer.clone()));
+        let mut core = RxCore::new(Arc::clone(&self.filter), &self.subs, &self.config, &fabric)
+            .with_gauges(self.gauges(), 0);
         if let Some(t) = &tracer {
-            tracker.set_tracer(Arc::clone(t), t.rx_lane(0));
+            core = core.with_tracer(Arc::clone(t), t.rx_lane(0));
         }
+        let mut rx = StepRx {
+            core: Some(core),
+            finished: None,
+            fabric: &fabric,
+            packets,
+            cfg,
+            next_pkt: 0,
+            since_advance: 0,
+            hasher: RssHasher::symmetric(),
+            shed: self.shed_state(),
+            tracer: tracer.clone(),
+            swap,
+            retired: Vec::new(),
+        };
+
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let mut chaos_fired = false;
-
-        let mut next_pkt = 0usize;
-        let mut drained = false;
         let mut step = 0u64;
-        let mut since_advance = 0usize;
-        let mut max_ts = 0u64;
-
-        macro_rules! flush_pending {
-            () => {{
-                let mut moved = false;
-                while let Some(&(i, _, _)) = pending.front() {
-                    if queues[i].len() >= caps[i] {
-                        break;
-                    }
-                    let (_, tid, out) = pending.pop_front().expect("front checked above");
-                    queues[i].push_back((tid, out));
-                    stats[i].note_enqueued();
-                    // No tracepoint here: the enqueue was already
-                    // recorded when the send parked (see `route!`), in
-                    // the same order a blocking threaded send commits.
-                    let _ = tid;
-                    moved = true;
-                }
-                moved
-            }};
-        }
-
-        // One handoff to the delivery layer: count the callback stage,
-        // then run inline / enqueue / park / shed per the sub's mode —
-        // the single-threaded mirror of InlineSink/QueuedSink (tracepoint
-        // order included).
-        macro_rules! route {
-            ($idx:expr, $tid:expr, $out:expr) => {{
-                let i: usize = $idx;
-                let tid: u64 = $tid;
-                let out: ErasedOutput = $out;
-                tracker.stats.callbacks.runs += 1;
-                if dispatched[i] {
-                    if queues[i].len() < caps[i] {
-                        queues[i].push_back((tid, out));
-                        stats[i].note_enqueued();
-                        if tid != 0 {
-                            if let Some(t) = &tracer {
-                                t.emit(
-                                    t.rx_lane(0),
-                                    tid,
-                                    TraceKind::DispatchEnqueue,
-                                    i as u16,
-                                    0,
-                                    stats[i].depth(),
-                                );
-                            }
-                        }
-                    } else {
-                        match modes[i].policy() {
-                            QueuePolicy::Shed => {
-                                stats[i].note_dropped_full();
-                                if let Some(t) = &tracer {
-                                    t.emit(
-                                        t.rx_lane(0),
-                                        tid,
-                                        TraceKind::Drop,
-                                        i as u16,
-                                        TraceDropCode::DispatchShed as u64,
-                                        0,
-                                    );
-                                    t.trigger(TriggerReason::DispatchShed, i as u64);
-                                }
-                            }
-                            QueuePolicy::Block => {
-                                stats[i].note_blocked();
-                                // Emit the enqueue tracepoint now, not
-                                // at flush: a threaded RX core blocks
-                                // inside the send, so its enqueue
-                                // events land in route order — the
-                                // parked send's order — never in
-                                // flush order.
-                                if tid != 0 {
-                                    if let Some(t) = &tracer {
-                                        t.emit(
-                                            t.rx_lane(0),
-                                            tid,
-                                            TraceKind::DispatchEnqueue,
-                                            i as u16,
-                                            0,
-                                            stats[i].depth(),
-                                        );
-                                    }
-                                }
-                                pending.push_back((i, tid, out));
-                            }
-                        }
-                    }
-                } else {
-                    if tid != 0 {
-                        if let Some(t) = &tracer {
-                            t.emit(t.rx_lane(0), tid, TraceKind::CallbackStart, i as u16, 0, 0);
-                        }
-                    }
-                    sinks[i].deliver(out, tid);
-                    stats[i].note_inline();
-                    if tid != 0 {
-                        if let Some(t) = &tracer {
-                            t.emit(t.rx_lane(0), tid, TraceKind::CallbackEnd, i as u16, 0, 0);
-                        }
-                    }
-                }
-            }};
-        }
-
-        // Swap-time quiescence: run every virtual worker to empty and
-        // flush every parked send before the configuration changes —
-        // the single-threaded mirror of the threaded runtime's grace
-        // period (every core acknowledges the new generation before the
-        // old epoch retires). Terminates because each pass first frees
-        // queue slots, which lets flush_pending! move parked sends.
-        macro_rules! drain_all {
-            () => {{
-                loop {
-                    flush_pending!();
-                    for i in 0..n {
-                        while let Some((_tid, out)) = queues[i].pop_front() {
-                            subs[i].invoke(out);
-                            stats[i].note_executed();
-                        }
-                    }
-                    if pending.is_empty() && queues.iter().all(VecDeque::is_empty) {
-                        break;
-                    }
-                }
-            }};
-        }
-
-        loop {
-            if next_pkt >= packets.len()
-                && drained
-                && pending.is_empty()
-                && queues.iter().all(VecDeque::is_empty)
-            {
-                break;
-            }
+        while rx.finished.is_none() || !fabric.borrow().idle() {
             step += 1;
             if let Some(t) = &tracer {
                 t.set_virtual_time(step);
             }
             // Snapshot the actor count: a swap inside the RX actor may
-            // rebuild the worker set (and `n_actors`), but it always
-            // reports progress, breaking this sweep before the stale
-            // bound could be used.
-            let actors = n_actors;
+            // rebuild the worker set, but it always reports progress,
+            // ending this sweep before the stale bound could be used.
+            let actors = 1 + fabric.borrow().workers.len();
             let choice = rng.random_range(0..actors);
-            let mut progressed = false;
             // Try the scheduled actor first; fall back through the rest
             // so a blocked actor never masks available progress (the
             // schedule stays a pure function of the seed either way).
-            for k in 0..actors {
-                let actor = (choice + k) % actors;
-                let p = if actor == 0 {
-                    // RX actor: flush parked sends, then read frames only
-                    // if nothing is parked (a blocked send stalls the
-                    // whole RX core, exactly like the threaded runtime).
-                    let mut p = flush_pending!();
-                    // A scheduled swap fires once the RX cursor reaches
-                    // its packet index (clamped so a swap "after the
-                    // last packet" still lands before the final drain),
-                    // but never while a parked send is outstanding: a
-                    // blocked RX core cannot pick up a new epoch
-                    // mid-send in the threaded runtime either.
-                    if pending.is_empty()
-                        && swap.as_ref().is_some_and(|sw| {
-                            next_pkt as u64 >= sw.at_packet.min(packets.len() as u64)
-                        })
-                    {
-                        let StepSwap {
-                            at_packet: _,
-                            filter: new_filter,
-                            subs: new_subs,
-                            modes: new_modes,
-                            remap,
-                        } = swap.take().expect("checked above");
-                        // Quiesce the old configuration: every queued
-                        // result executes under the epoch that produced
-                        // it before the table changes.
-                        drain_all!();
-                        // Rebind live connection state under the new
-                        // trie. Drains of removed subscriptions route
-                        // through the OLD arrays — their sinks, their
-                        // queues, their counters — then quiesce again.
-                        let banked_now = tracker.rebind(Arc::clone(&new_filter), &new_subs, &remap);
-                        for (idx, tid, out) in tracker.take_outputs() {
-                            route!(idx as usize, tid, out);
-                        }
-                        drain_all!();
-                        // Bank removed subscriptions' counters by name.
-                        for (i, m) in remap.iter().enumerate() {
-                            if m.is_none() {
-                                retired.push((subs[i].name().to_string(), stats[i].snapshot()));
-                            }
-                        }
-                        banked.extend(banked_now);
-                        // Rebuild the per-subscription arrays under the
-                        // new table. Survivors carry their DispatchStats
-                        // across the swap (exactly as the threaded hub
-                        // shares them), so per-name counters span the
-                        // whole run.
-                        let mut carried: Vec<Option<DispatchStats>> =
-                            std::mem::take(&mut stats).into_iter().map(Some).collect();
-                        subs = new_subs;
-                        modes = new_modes;
-                        filter = new_filter;
-                        n = subs.len();
-                        packet_mask = SubscriptionSet::empty();
-                        for (j, sub) in subs.iter().enumerate() {
-                            if sub.level() == Level::Packet {
-                                packet_mask.insert(j);
-                            }
-                        }
-                        dispatched = (0..n)
-                            .map(|j| modes[j].is_dispatched() && subs[j].has_callback())
-                            .collect();
-                        caps = (0..n)
-                            .map(|j| if dispatched[j] { modes[j].depth() } else { 0 })
-                            .collect();
-                        stats = (0..n)
-                            .map(|j| {
-                                remap
-                                    .iter()
-                                    .position(|m| *m == Some(j))
-                                    .and_then(|i| carried[i].take())
-                                    .unwrap_or_else(|| DispatchStats::with_capacity(caps[j] as u64))
-                            })
-                            .collect();
-                        sinks = subs.iter().map(|s| s.inline_sink()).collect();
-                        queues = caps.iter().map(|&c| VecDeque::with_capacity(c)).collect();
-                        worker_subs = (0..n).filter(|&i| dispatched[i]).collect();
-                        n_actors = 1 + worker_subs.len();
-                        p = true;
-                    }
-                    if pending.is_empty() {
-                        if next_pkt < packets.len() {
-                            tracker.set_shed_parsing(shed.parsing_shed());
-                            let end = (next_pkt + cfg.rx_batch.max(1)).min(packets.len());
-                            for (off, (frame, ts)) in packets[next_pkt..end].iter().enumerate() {
-                                let seq = (next_pkt + off) as u64;
-                                let mut mbuf = Mbuf::from_bytes(frame.clone());
-                                mbuf.timestamp_ns = *ts;
-                                tracker.stats.rx_packets += 1;
-                                tracker.stats.rx_bytes += mbuf.len() as u64;
-                                max_ts = max_ts.max(mbuf.timestamp_ns);
-                                let Ok(pkt) = ParsedPacket::parse(mbuf.data()) else {
-                                    tracker.stats.parse_failures += 1;
-                                    continue;
-                                };
-                                // Stamp the same symmetric RSS hash the
-                                // virtual NIC would have: flow sampling
-                                // derives trace ids from it, so stepped
-                                // runs must sample the exact flows a
-                                // threaded run samples.
-                                mbuf.rss_hash = hasher.hash_packet(&pkt);
-                                // Ingest-lane mirror of the virtual NIC:
-                                // one Rx and one HwVerdict (RSS, queue 0
-                                // — a stepped run has a single RX core
-                                // and no hardware rules in front of it).
-                                let tid = match &tracer {
-                                    Some(t) => {
-                                        let tid = t.sample_flow(mbuf.rss_hash);
-                                        if tid != 0 {
-                                            t.emit(
-                                                t.ingest_lane(),
-                                                tid,
-                                                TraceKind::Rx,
-                                                0,
-                                                mbuf.len() as u64,
-                                                seq,
-                                            );
-                                            t.emit(
-                                                t.ingest_lane(),
-                                                tid,
-                                                TraceKind::HwVerdict,
-                                                0,
-                                                TraceHwAction::Rss as u64,
-                                                0,
-                                            );
-                                        }
-                                        tid
-                                    }
-                                    None => 0,
-                                };
-                                let verdict = filter.packet_filter_set(&pkt);
-                                tracker.stats.packet_filter.runs += 1;
-                                if tid != 0 {
-                                    if let Some(t) = &tracer {
-                                        t.emit(
-                                            t.rx_lane(0),
-                                            tid,
-                                            TraceKind::PacketVerdict,
-                                            0,
-                                            verdict.matched.bits(),
-                                            verdict.live.bits(),
-                                        );
-                                        for f in verdict.frontiers.iter() {
-                                            t.emit(
-                                                t.rx_lane(0),
-                                                tid,
-                                                TraceKind::FilterNode,
-                                                0,
-                                                u64::from(f),
-                                                0,
-                                            );
-                                        }
-                                    }
-                                }
-                                if verdict.is_no_match() {
-                                    continue;
-                                }
-                                let bypass = verdict.matched & packet_mask;
-                                for i in bypass.iter() {
-                                    // NullSink's packet fast path is a
-                                    // no-op: spec-only bypass delivers
-                                    // (and counts) nothing.
-                                    if !subs[i].has_callback() {
-                                        continue;
-                                    }
-                                    if let Some(out) = subs[i].output_from_mbuf(&mbuf) {
-                                        tracker.sub_tallies[i].delivered += 1;
-                                        route!(i, tid, out);
-                                    }
-                                }
-                                let verdict = PacketVerdict {
-                                    matched: verdict.matched - packet_mask,
-                                    live: verdict.live,
-                                    frontiers: verdict.frontiers,
-                                };
-                                if verdict.is_no_match() {
-                                    continue;
-                                }
-                                tracker.process(&mbuf, &pkt, verdict);
-                                for (idx, tid, out) in tracker.take_outputs() {
-                                    route!(idx as usize, tid, out);
-                                }
-                            }
-                            next_pkt = end;
-                            since_advance += 1;
-                            if since_advance >= cfg.advance_every.max(1) {
-                                since_advance = 0;
-                                tracker.advance(max_ts);
-                                for (idx, tid, out) in tracker.take_outputs() {
-                                    route!(idx as usize, tid, out);
-                                }
-                            }
-                            p = true;
-                        } else if !drained {
-                            tracker.drain();
-                            for (idx, tid, out) in tracker.take_outputs() {
-                                route!(idx as usize, tid, out);
-                            }
-                            drained = true;
-                            p = true;
-                        }
-                    }
-                    p
-                } else {
-                    // Virtual worker for one dispatched subscription.
-                    let i = worker_subs[actor - 1];
-                    if stall_blocks(cfg.stall.as_ref(), i, step) {
+            let progressed = (0..actors).any(|k| match (choice + k) % actors {
+                0 => rx.step(),
+                actor => {
+                    let slot = actor - 1;
+                    let sub = fabric.borrow().workers[slot];
+                    if cfg.stall.is_some_and(|s| s.blocks(sub, step)) {
                         // First activation of the fault window freezes
                         // the flight recorder, exactly as the chaos
                         // layer's fault hook does in a threaded run.
                         if !chaos_fired {
                             chaos_fired = true;
                             if let Some(t) = &tracer {
-                                t.trigger(TriggerReason::ChaosFault, i as u64);
+                                t.trigger(TriggerReason::ChaosFault, sub as u64);
                             }
                         }
                         false
                     } else {
-                        let lane = tracer.as_ref().map(|t| t.worker_lane(actor - 1));
-                        let mut popped = false;
-                        for _ in 0..cfg.worker_batch.max(1) {
-                            match queues[i].pop_front() {
-                                Some((tid, out)) => {
-                                    if tid != 0 {
-                                        if let (Some(t), Some(lane)) = (&tracer, lane) {
-                                            t.emit(
-                                                lane,
-                                                tid,
-                                                TraceKind::DispatchDequeue,
-                                                i as u16,
-                                                0,
-                                                stats[i].depth(),
-                                            );
-                                            t.emit(
-                                                lane,
-                                                tid,
-                                                TraceKind::CallbackStart,
-                                                i as u16,
-                                                0,
-                                                0,
-                                            );
-                                        }
-                                    }
-                                    subs[i].invoke(out);
-                                    if tid != 0 {
-                                        if let (Some(t), Some(lane)) = (&tracer, lane) {
-                                            t.emit(
-                                                lane,
-                                                tid,
-                                                TraceKind::CallbackEnd,
-                                                i as u16,
-                                                0,
-                                                0,
-                                            );
-                                        }
-                                    }
-                                    stats[i].note_executed();
-                                    popped = true;
-                                }
-                                None => break,
-                            }
-                        }
-                        let flushed = popped && flush_pending!();
-                        popped || flushed
+                        fabric.borrow_mut().work(slot, cfg.worker_batch)
                     }
-                };
-                if p {
-                    progressed = true;
-                    break;
                 }
-            }
-            if !progressed {
-                // Only an active stall window may block every actor at
-                // once; the window is measured in steps and the counter
-                // just advanced, so it expires without progress.
-                assert!(
-                    cfg.stall.as_ref().is_some_and(
-                        |s| step >= s.from_step && step < s.from_step.saturating_add(s.steps)
-                    ),
-                    "stepped dispatch deadlocked at step {step}: no actor can run \
-                     and no stall window is active"
-                );
-            }
+            });
+            // Only an active stall window may block every actor at once;
+            // the window is measured in steps and the counter just
+            // advanced, so it expires without progress.
+            assert!(
+                progressed
+                    || cfg.stall.is_some_and(|s| {
+                        step >= s.from_step && step < s.from_step.saturating_add(s.steps)
+                    }),
+                "stepped dispatch deadlocked at step {step}: no actor can run \
+                 and no stall window is active"
+            );
         }
 
-        let arena_bytes = tracker.arena_bytes();
-        self.gauges()
-            .worker_update(0, &tracker.stats, 0, 0, arena_bytes, max_ts);
-        let total_bytes: u64 = packets.iter().map(|(f, _)| f.len() as u64).sum();
+        let done = rx
+            .finished
+            .take()
+            .expect("loop ends after the RX actor finished");
+        let fabric = fabric.borrow();
+        let dispatch: Vec<DispatchSnapshot> =
+            fabric.stats.iter().map(DispatchStats::snapshot).collect();
         let nic = PortStatsSnapshot {
             rx_offered: packets.len() as u64,
             rx_delivered: packets.len() as u64,
-            rx_bytes: total_bytes,
+            rx_bytes: packets.iter().map(|(f, _)| f.len() as u64).sum(),
             ..PortStatsSnapshot::default()
         };
-        let dispatch: Vec<DispatchSnapshot> = stats.iter().map(DispatchStats::snapshot).collect();
-        // Same assembly as the threaded run: final-configuration rows in
-        // registration order (folding in same-name counters banked at
-        // the swap point), then never-re-added removed names sorted.
-        let mut tally_map: BTreeMap<String, SubTally> = BTreeMap::new();
-        for (name, t) in banked {
-            tally_map.entry(name).or_default().merge(&t);
-        }
-        let mut sub_reports: Vec<SubReport> = Vec::with_capacity(n);
-        for ((sub, t), d) in subs.iter().zip(&tracker.sub_tallies).zip(&dispatch) {
-            let mut report = SubReport {
-                name: sub.name().to_string(),
-                delivered: t.delivered,
-                discarded: t.discarded,
-                cb_executed: d.executed,
-                cb_dropped_full: d.dropped_full,
-                cb_dropped_disconnected: d.dropped_disconnected,
-                queue_depth_peak: d.depth_peak,
-                queue_capacity: d.capacity,
-            };
-            if let Some(bt) = tally_map.remove(&report.name) {
-                report.delivered += bt.delivered;
-                report.discarded += bt.discarded;
-            }
-            for (rname, rs) in &retired {
-                if *rname == report.name {
-                    report.cb_executed += rs.executed;
-                    report.cb_dropped_full += rs.dropped_full;
-                    report.cb_dropped_disconnected += rs.dropped_disconnected;
-                    report.queue_depth_peak = report.queue_depth_peak.max(rs.depth_peak);
-                }
-            }
-            sub_reports.push(report);
-        }
-        for (name, t) in tally_map {
-            let mut report = SubReport {
-                name,
-                delivered: t.delivered,
-                discarded: t.discarded,
-                cb_executed: 0,
-                cb_dropped_full: 0,
-                cb_dropped_disconnected: 0,
-                queue_depth_peak: 0,
-                queue_capacity: 0,
-            };
-            for (rname, rs) in &retired {
-                if *rname == report.name {
-                    report.cb_executed += rs.executed;
-                    report.cb_dropped_full += rs.dropped_full;
-                    report.cb_dropped_disconnected += rs.dropped_disconnected;
-                    report.queue_depth_peak = report.queue_depth_peak.max(rs.depth_peak);
-                    report.queue_capacity = report.queue_capacity.max(rs.capacity);
-                }
-            }
-            sub_reports.push(report);
-        }
         let mut report = RunReport {
             // Virtual time: wall-clock metrics are meaningless here.
             elapsed: Duration::ZERO,
             nic,
-            cores: tracker.stats,
-            subs: sub_reports,
-            sim_duration_ns: max_ts,
+            cores: done.stats,
+            subs: sub_reports(&fabric.subs, &dispatch, done.tallies, &rx.retired),
+            sim_duration_ns: done.max_ts,
             mbuf_high_water: 0,
-            conn_arena_bytes: arena_bytes,
+            conn_arena_bytes: done.arena_bytes,
             filter_warnings: self.filter_warnings().to_vec(),
             trace: None,
         };
@@ -799,16 +640,9 @@ impl MultiRuntime<CompiledFilter> {
         at_packet: u64,
         spec: &SwapSpec,
     ) -> Result<RunReport, SwapError> {
-        let prepared = crate::reconfig::prepare(spec, &self.subs, &self.config)?;
-        let warnings = prepared.warnings;
-        let sw = StepSwap {
-            at_packet,
-            filter: prepared.filter,
-            subs: prepared.subs,
-            modes: prepared.modes,
-            remap: prepared.remap,
-        };
-        let mut report = self.run_stepped_inner(packets, cfg, Some(sw));
+        let mut prepared = crate::reconfig::prepare(spec, &self.subs, &self.config)?;
+        let warnings = std::mem::take(&mut prepared.warnings);
+        let mut report = self.run_stepped_inner(packets, cfg, Some((at_packet, prepared)));
         report.filter_warnings.extend(warnings);
         Ok(report)
     }

@@ -44,9 +44,9 @@ use retina_support::hash::FlowHashState;
 use retina_telemetry::{trace::TraceConnEnd, TraceKind, Tracer};
 use retina_wire::ParsedPacket;
 
-use crate::erased::{ErasedOutput, ErasedSubscription, ErasedTracked, TypedSubscription};
+use crate::erased::{ErasedOutput, ErasedSubscription, ErasedTracked};
 use crate::stats::CoreStats;
-use crate::subscription::{Level, Subscribable};
+use crate::subscription::Level;
 use crate::util::rdtsc;
 
 /// Cap on bytes buffered per direction while probing for the protocol.
@@ -563,30 +563,6 @@ impl<F: FilterFns> ConnTracker<F> {
         )
     }
 
-    /// Creates a single-subscription tracker for subscribable type `S`
-    /// (outputs are drained through [`ConnTracker::take_outputs`]).
-    pub fn single<S: Subscribable>(
-        filter: Arc<F>,
-        timeouts: TimeoutConfig,
-        ooo_capacity: usize,
-        profile: bool,
-    ) -> Self {
-        let sub: Arc<dyn ErasedSubscription> = Arc::new(TypedSubscription::<S>::spec_only("sub0"));
-        Self::new(filter, &[sub], timeouts, ooo_capacity, profile)
-    }
-
-    /// [`ConnTracker::single`] with a custom parser registry.
-    pub fn single_with_registry<S: Subscribable>(
-        filter: Arc<F>,
-        timeouts: TimeoutConfig,
-        ooo_capacity: usize,
-        profile: bool,
-        registry: ParserRegistry,
-    ) -> Self {
-        let sub: Arc<dyn ErasedSubscription> = Arc::new(TypedSubscription::<S>::spec_only("sub0"));
-        Self::with_registry(filter, &[sub], timeouts, ooo_capacity, profile, registry)
-    }
-
     /// Creates a tracker with a custom parser registry (§3.3).
     pub fn with_registry(
         filter: Arc<F>,
@@ -698,6 +674,15 @@ impl<F: FilterFns> ConnTracker<F> {
     /// high-water mark the `conn_arena_bytes` gauge reports.
     pub fn arena_bytes(&self) -> usize {
         self.table.bytes_high_water()
+    }
+
+    /// Each current subscription's name and tally, in table order.
+    pub(crate) fn named_tallies(&self) -> Vec<(String, SubTally)> {
+        self.subs
+            .iter()
+            .zip(&self.sub_tallies)
+            .map(|(s, t)| (s.erased.name().to_string(), *t))
+            .collect()
     }
 
     /// The probe-candidate union for a want-parse set: each
@@ -1119,9 +1104,10 @@ impl<F: FilterFns> ConnTracker<F> {
     /// * surviving state is re-indexed to the new subscription order;
     /// * still-undecided survivors get their packet-filter frontiers
     ///   recomputed under the new trie by replaying a synthetic first
-    ///   packet of the connection's five-tuple (survivors the new
-    ///   filter cannot match are dropped, ones it decides terminally
-    ///   are promoted and delivered);
+    ///   packet of the connection's five-tuple through `packet_filter`
+    ///   (the RX core's packet layer under the new trie; survivors it
+    ///   cannot match are dropped, ones it decides terminally are
+    ///   promoted and delivered);
     /// * connections left with no active subscription are removed and
     ///   counted `conns_swapped` (a distinct outcome in the connection
     ///   identity); the rest keep their phase, with probe/parse demoted
@@ -1134,6 +1120,7 @@ impl<F: FilterFns> ConnTracker<F> {
         filter: Arc<F>,
         subs: &[Arc<dyn ErasedSubscription>],
         remap: &[Option<usize>],
+        packet_filter: impl Fn(&ParsedPacket) -> PacketVerdict,
     ) -> Vec<(String, SubTally)> {
         assert_eq!(remap.len(), self.subs.len(), "remap covers the old table");
         let new_len = subs.len();
@@ -1240,7 +1227,7 @@ impl<F: FilterFns> ConnTracker<F> {
                         match synth_first_packet(&entry.tuple) {
                             Some(frame) => match ParsedPacket::parse(&frame) {
                                 Ok(pkt) => {
-                                    let verdict = filter.packet_filter_set(&pkt);
+                                    let verdict = packet_filter(&pkt);
                                     conn.frontiers = verdict.frontiers;
                                     let vm = verdict.matched & new_all;
                                     let vl = verdict.live & new_all;

@@ -23,7 +23,7 @@ use retina_core::runtime::{Runtime, TrafficSource};
 use retina_core::subscribables::{
     ConnBytes, ConnRecord, HttpTransactionData, SessionRecord, TlsHandshakeData, ZcFrame,
 };
-use retina_core::RuntimeConfig;
+use retina_core::{CoreStats, RuntimeBuilder, RuntimeConfig, StepConfig};
 use retina_filter::compile;
 use retina_protocols::http;
 use retina_protocols::ssh;
@@ -32,6 +32,7 @@ use retina_protocols::tls::build::{
     ServerHelloSpec,
 };
 use retina_support::bytes::Bytes;
+use retina_trafficgen::campus::{generate, CampusConfig};
 use retina_wire::build::{build_tcp, build_udp, TcpSpec, UdpSpec};
 use retina_wire::TcpFlags;
 
@@ -725,4 +726,95 @@ fn rst_before_protocol_identified() {
     assert_eq!(out.len(), 1);
     assert!(out[0].terminated);
     assert!(!out[0].single_syn);
+}
+
+/// The packet, filter and connection counters of a run.
+fn pipeline_counters(s: &CoreStats) -> [u64; 16] {
+    [
+        s.rx_packets,
+        s.rx_bytes,
+        s.parse_failures,
+        s.parser_panics,
+        s.packet_filter.runs,
+        s.conn_tracking.runs,
+        s.reassembly.runs,
+        s.app_parsing.runs,
+        s.session_filter.runs,
+        s.callbacks.runs,
+        s.conns_created,
+        s.conns_discarded,
+        s.discard_conn_filter,
+        s.discard_session_filter,
+        s.conns_terminated,
+        s.conns_expired + s.conns_drained,
+    ]
+}
+
+/// Offline mode and the runtime's stepped mode run the same RX core:
+/// over a campus capture shorter than the shortest timeout (so the two
+/// modes' different timer-advance cadences cannot matter), they
+/// deliver the same data in the same order with the same counters.
+#[test]
+fn offline_mode_matches_the_runtime() {
+    // The capture's first seconds: every timestamp (from 0) is below
+    // the 5 s establish timeout, so no sweep can expire a connection.
+    let shortest_timeout = cfg().timeouts.establish_ns.unwrap();
+    let packets: Vec<(Bytes, u64)> = generate(&CampusConfig::small(0xC0FFEE))
+        .into_iter()
+        .filter(|(_, ts)| *ts < shortest_timeout)
+        .collect();
+    assert!(packets.len() > 1000);
+    let steps = StepConfig::seeded(7);
+
+    // Raw frames on the empty filter: the packet-level bypass.
+    let mut offline_frames = 0u64;
+    let offline = run_offline::<ZcFrame, _>(
+        &Arc::new(compile("").unwrap()),
+        &cfg(),
+        packets.clone(),
+        |_| {
+            offline_frames += 1;
+        },
+    );
+    let frames = Arc::new(Mutex::new(0u64));
+    let sink = Arc::clone(&frames);
+    let runtime = RuntimeBuilder::new(cfg())
+        .subscribe("", move |_: ZcFrame| *sink.lock().unwrap() += 1)
+        .build()
+        .unwrap();
+    let stepped = runtime.run_stepped(&packets, &steps);
+    stepped.check_accounting().unwrap();
+    assert!(offline_frames > 0);
+    assert_eq!(offline_frames, *frames.lock().unwrap());
+    assert_eq!(offline_frames, stepped.subs[0].delivered);
+    assert_eq!(
+        pipeline_counters(&offline),
+        pipeline_counters(&stepped.cores)
+    );
+
+    // Connection records on tcp: conntrack, drained at the end of input.
+    let mut offline_records = Vec::new();
+    let offline = run_offline::<ConnRecord, _>(
+        &Arc::new(compile("tcp").unwrap()),
+        &cfg(),
+        packets.clone(),
+        |r| {
+            offline_records.push(r);
+        },
+    );
+    let records = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&records);
+    let runtime = RuntimeBuilder::new(cfg())
+        .subscribe("tcp", move |r: ConnRecord| sink.lock().unwrap().push(r))
+        .build()
+        .unwrap();
+    let stepped = runtime.run_stepped(&packets, &steps);
+    stepped.check_accounting().unwrap();
+    assert!(!offline_records.is_empty());
+    assert_eq!(offline_records, *records.lock().unwrap());
+    assert_eq!(offline_records.len() as u64, stepped.subs[0].delivered);
+    assert_eq!(
+        pipeline_counters(&offline),
+        pipeline_counters(&stepped.cores)
+    );
 }

@@ -1,6 +1,8 @@
 //! The `ConnParsable` analogue: traits and types through which the
 //! framework drives application-layer parsing.
 
+use std::sync::Arc;
+
 use retina_filter::{FieldValue, SessionData};
 
 use crate::dns::DnsMessage;
@@ -168,9 +170,9 @@ pub trait ConnParser: Send {
     }
 }
 
-/// Constructor for a boxed [`ConnParser`]; plain `fn` so registries
-/// stay `Clone` + `'static` without allocation.
-pub type ParserFactory = fn() -> Box<dyn ConnParser>;
+/// Constructor for a boxed [`ConnParser`]. Shared, so registries stay
+/// `Clone`; a closure may capture per-registry parser settings.
+pub type ParserFactory = Arc<dyn Fn() -> Box<dyn ConnParser> + Send + Sync>;
 
 /// Factory registry: maps protocol names to parser constructors.
 ///
@@ -214,9 +216,13 @@ impl ParserRegistry {
     }
 
     /// Registers a parser factory under a protocol name.
-    pub fn register(&mut self, name: &'static str, factory: ParserFactory) {
+    pub fn register(
+        &mut self,
+        name: &'static str,
+        factory: impl Fn() -> Box<dyn ConnParser> + Send + Sync + 'static,
+    ) {
         if !self.factories.iter().any(|(n, _)| *n == name) {
-            self.factories.push((name, factory));
+            self.factories.push((name, Arc::new(factory)));
         }
     }
 

@@ -11,6 +11,8 @@
 #   clippy        cargo clippy --offline --all-targets -- -D warnings
 #   pedantic      curated clippy::pedantic subset, denied (see below)
 #   safety        every unsafe site carries a // SAFETY: comment
+#   globals       no `static mut` and no atomic/Mutex/RwLock `static`
+#                 under crates/*/src (no process-global mutable state)
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary
@@ -37,7 +39,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt clippy pedantic safety lint-filters build doc test smoke trace-overhead churn reconfig perfbench bench-gate)
+ALL_STAGES=(fmt clippy pedantic safety globals lint-filters build doc test smoke trace-overhead churn reconfig perfbench bench-gate)
 if [ "$#" -gt 0 ]; then STAGES=("$@"); else STAGES=("${ALL_STAGES[@]}"); fi
 
 FAILED=()
@@ -81,6 +83,8 @@ stage_pedantic() {
 }
 
 stage_safety() { scripts/check_safety_comments.sh; }
+
+stage_globals() { scripts/check_no_globals.sh; }
 
 # Lint the filter corpus (every filter the benches, figure binaries and
 # examples use) with the semantic analyzer. retina-flint exits non-zero
@@ -158,6 +162,7 @@ for stage in "${STAGES[@]}"; do
     clippy) run_stage clippy stage_clippy ;;
     pedantic) run_stage pedantic stage_pedantic ;;
     safety) run_stage safety stage_safety ;;
+    globals) run_stage globals stage_globals ;;
     lint-filters) run_stage lint-filters stage_lint_filters ;;
     build) run_stage build stage_build ;;
     doc) run_stage doc stage_doc ;;

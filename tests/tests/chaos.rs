@@ -16,11 +16,9 @@
 //!   strand frames in the ring (the final-drain fix in the worker
 //!   loop).
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Once, OnceLock};
 
-use retina_chaos::{
-    arm_parser_panics, chaos_parser_factory, disarm_parser_panics, ChaosSource, Fault, FaultPlan,
-};
+use retina_chaos::{chaos_parser_factory, ChaosSource, Fault, FaultPlan};
 use retina_core::subscribables::ConnRecord;
 use retina_core::{compile, GovernorBrain, GovernorConfig, RunReport, Runtime, RuntimeConfig};
 use retina_protocols::ParserRegistry;
@@ -30,17 +28,26 @@ use retina_telemetry::{check_governor_accounting, PressureSignals};
 use retina_trafficgen::campus::{generate, CampusConfig};
 use retina_trafficgen::PreloadedSource;
 
-/// Serializes tests that touch the process-global parser-panic switch.
-static ARM_LOCK: Mutex<()> = Mutex::new(());
-
-/// Silences the default panic printer while injected parser panics fly
+/// Runs `f` with injected parser panics kept off the panic printer
 /// (they are caught and counted; the spew would drown real failures).
+/// The filtering hook is installed once and passes every other panic
+/// through, so tests running in parallel never swap hooks under each
+/// other.
 fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
+    static QUIET: Once = Once::new();
+    QUIET.call_once(|| {
+        let print = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<&str>()
+                .is_some_and(|m| m.starts_with("injected chaos parser panic"));
+            if !injected {
+                print(info);
+            }
+        }));
+    });
+    f()
 }
 
 /// One shared small campus workload (generation is the slow part).
@@ -67,7 +74,6 @@ fn chaos_run(plan: &FaultPlan, registry: Option<ParserRegistry>) -> RunReport {
     let source = ChaosSource::new(PreloadedSource::new(workload().to_vec()), plan);
     let report = runtime.run(source);
     runtime.nic().clear_fault_hooks();
-    disarm_parser_panics();
     report
 }
 
@@ -79,18 +85,15 @@ proptest! {
     /// what the plan throws at the pipeline.
     #[test]
     fn accounting_balances_under_any_fault_plan(seed in any::<u64>()) {
-        let _guard = ARM_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         with_quiet_panics(|| {
             let plan = FaultPlan::from_seed(seed, workload().len() as u64, 2);
             // Register the chaos parser so ParserPanic faults actually
             // reach the parse path (it stands in for the TLS parser).
-            let registry = if plan.parser_panic_modulus().is_some() {
+            let registry = plan.parser_panic_modulus().map(|m| {
                 let mut r = ParserRegistry::empty();
-                r.register("tls", chaos_parser_factory);
-                Some(r)
-            } else {
-                None
-            };
+                r.register("tls", chaos_parser_factory(m));
+                r
+            });
             let report = chaos_run(&plan, registry);
             if let Err(msg) = report.check_accounting() {
                 panic!("accounting violated under plan:\n{}\n{msg}", plan.describe());
@@ -139,9 +142,6 @@ proptest! {
 /// the identical workload produce bit-for-bit identical digests.
 #[test]
 fn chaos_runs_replay_bit_for_bit() {
-    let _guard = ARM_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     with_quiet_panics(|| {
         let plan = FaultPlan::new(0xDEAD_BEEF)
             .with(Fault::MempoolSqueeze {
@@ -160,7 +160,7 @@ fn chaos_runs_replay_bit_for_bit() {
             .with(Fault::ParserPanic { modulus: 8 });
         let registry = || {
             let mut r = ParserRegistry::empty();
-            r.register("tls", chaos_parser_factory);
+            r.register("tls", chaos_parser_factory(8));
             r
         };
         let a = chaos_run(&plan, Some(registry()));
@@ -184,9 +184,6 @@ fn chaos_runs_replay_bit_for_bit() {
 /// sensitive to the plan, not constant).
 #[test]
 fn different_seeds_diverge() {
-    let _guard = ARM_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let mk = |seed| {
         FaultPlan::new(seed)
             .with(Fault::TruncateFrames { ppm: 100_000 })
@@ -353,16 +350,10 @@ fn callback_stall_sheds_without_collateral_damage() {
 /// are counted, and accounting still balances.
 #[test]
 fn parser_panics_are_recoverable() {
-    let _guard = ARM_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     with_quiet_panics(|| {
-        // `install` arms the switch from the plan; arming up front too
-        // exercises the idempotent path.
-        arm_parser_panics(3);
         let plan = FaultPlan::new(13).with(Fault::ParserPanic { modulus: 3 });
         let mut registry = ParserRegistry::empty();
-        registry.register("tls", chaos_parser_factory);
+        registry.register("tls", chaos_parser_factory(3));
         let report = chaos_run(&plan, Some(registry));
         assert!(
             report.cores.parser_panics > 0,
